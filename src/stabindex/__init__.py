@@ -8,7 +8,6 @@ the affine relations the true probabilities satisfy.  Exact values are
 provided where closed forms exist.
 """
 
-from ._accel import ACCEL_MODE, NUMBA_ENABLED
 from .constraints import (
     ConstraintSystem,
     InconsistentConstraints,
@@ -57,8 +56,6 @@ from .refine import RepairFailed, least_squares_refine, nonneg_repair
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCEL_MODE",
-    "NUMBA_ENABLED",
     "ConstraintSystem",
     "ConvergenceResult",
     "DEFAULT_SEED",

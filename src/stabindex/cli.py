@@ -51,8 +51,11 @@ def _fmt(x) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -164,7 +167,7 @@ def _cmd_estimate(args) -> int:
     hist = run_estimation(cfg)
     freq = frequencies(hist)
     cs = build_constraints(family)
-    refined = nonneg_repair(cs, freq) if family.refinement_eligible else None
+    refined = nonneg_repair(cs, freq) if family.symmetric else None
     exact = exact_probabilities(family)
     text = _render_estimate(args, cfg, hist, freq, refined, exact, relation_strings(cs))
     _emit(text, args.out)
@@ -225,6 +228,10 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise CliError("--samples must be >= 1")
+    if args.oracle_polys < 1:
+        raise CliError("--oracle-polys must be >= 1")
     results = verify_suite.run_all(
         samples=args.samples,
         seed=args.seed,

@@ -44,10 +44,6 @@ class ConstraintSystem:
     def n(self) -> int:
         return self.family.n
 
-    @property
-    def refinement_eligible(self) -> bool:
-        return self.family.refinement_eligible
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -6,24 +6,21 @@ coefficient.
 
 Root-count results are integer codes: ``k >= 0`` is a definite count, and
 the negative constants below are the indeterminate verdicts.  The scalar
-kernels are called per sample inside the batch loops, which carry the
-``@jit_kernel`` decorator (numba ``@njit`` or plain Python, see
-``_accel``).  Matrix products inside kernels are explicit loops so that
-the accelerated and fallback paths perform bit-identical arithmetic.
+kernels are plain Python over numpy arrays, called once per sample by the
+batch loops.  Their sums and matrix products are explicit loops: that
+floating-point order fixes every histogram bit for bit, so a faster
+version must reproduce it exactly.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from ._accel import jit_kernel
-
 ZERO_PIVOT = -1
 BOUNDARY_ROOT = -2
 ZERO_LEADING = -3
 
 
-@jit_kernel()
 def has_nonneg_real_root(d):
     """Whether the real polynomial ``d`` (ascending coeffs) has a root s >= 0.
 
@@ -118,7 +115,6 @@ def has_nonneg_real_root(d):
     return (v0 - vinf) > 0
 
 
-@jit_kernel()
 def routh_scan(coeffs, tol):
     """Number of roots with Re < 0, or a negative indeterminate code.
 
@@ -199,7 +195,6 @@ def routh_scan(coeffs, tol):
     return n - changes
 
 
-@jit_kernel()
 def mobius_apply(coeffs, weights):
     """Expand sum_j coeffs[j] (z+1)^j (z-1)^(n-j) using precomputed weights."""
     n = coeffs.shape[0] - 1
@@ -212,7 +207,6 @@ def mobius_apply(coeffs, weights):
     return star
 
 
-@jit_kernel()
 def jury_scan(coeffs, weights, tol):
     """Number of roots with |x| < 1: conformal map to a half-plane + Routh scan.
 
@@ -240,7 +234,6 @@ def jury_scan(coeffs, weights, tol):
     return routh_scan(star, tol)
 
 
-@jit_kernel()
 def char_poly(a):
     """Monic characteristic polynomial det(xI - a), ascending coefficients.
 
@@ -275,7 +268,6 @@ def char_poly(a):
 # Batch loops over sample chunks (the Monte Carlo hot path).
 
 
-@jit_kernel(nogil=True)
 def batch_poly_halfplane(params, tol):
     """Half-plane counts for polynomials given highest-degree-first rows."""
     count = params.shape[0]
@@ -289,7 +281,6 @@ def batch_poly_halfplane(params, tol):
     return codes
 
 
-@jit_kernel(nogil=True)
 def batch_poly_disk(params, weights, tol):
     """Unit-disk counts for polynomials given highest-degree-first rows."""
     count = params.shape[0]
@@ -303,7 +294,6 @@ def batch_poly_disk(params, weights, tol):
     return codes
 
 
-@jit_kernel(nogil=True)
 def batch_matrix_halfplane(mats, tol):
     """Eigenvalues with Re < 0 per matrix, via char_poly + routh_scan."""
     count = mats.shape[0]
@@ -313,7 +303,6 @@ def batch_matrix_halfplane(mats, tol):
     return codes
 
 
-@jit_kernel(nogil=True)
 def batch_pencil_disk(params, n, weights, tol):
     """Counts of eigenvalues of A with |x| < |b|, rows packed as (b, A).
 
@@ -343,8 +332,7 @@ def batch_pencil_disk(params, n, weights, tol):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue batch paths.  These stay in plain numpy (stacked LAPACK calls)
-# in both acceleration modes; numba brings nothing here.
+# Eigenvalue batch paths: one stacked LAPACK call per chunk.
 
 
 def eig_halfplane_codes(mats, tol):

@@ -52,13 +52,11 @@ class ModelFamily:
 
     @property
     def symmetric(self) -> bool:
-        """Whether the index distribution satisfies p_k = p_{n-k}."""
-        return self.kind != "disc-sys"
+        """Whether the index distribution satisfies p_k = p_{n-k}.
 
-    @property
-    def refinement_eligible(self) -> bool:
-        """disc-sys admits no relations beyond total mass, so refining its
-        raw frequencies is a no-op and is skipped."""
+        Only disc-sys is not, and it admits no relation beyond total mass,
+        so this also decides whether refinement has anything to do.
+        """
         return self.kind != "disc-sys"
 
     def __str__(self) -> str:

@@ -19,8 +19,6 @@ from .models import FAMILY_KINDS, ModelFamily
 from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies, run_estimation
 from .polyroot import DEFAULT_TOL
 
-SYMMETRIC_KINDS = ("cont-sys", "cont-eq", "disc-eq")
-
 # Disjoint from shard spawn keys used in estimation runs.
 _ORACLE_KEY = 1001
 _QUADRANT_KEY = 1002
@@ -36,57 +34,43 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _oracle_rng(seed, offset=0):
+def _oracle_rng(seed, offset):
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_ORACLE_KEY + offset,))
     )
 
 
-def check_halfplane_oracle(
+# Oracle region -> (RNG substream offset, name used in the check's title).
+_ORACLE_REGIONS = {"left-half-plane": (0, "half-plane"), "disk": (1, "disk")}
+
+
+def check_oracle(
+    region: str,
     per_degree: int = 10_000,
     max_degree: int = 6,
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Routh scan vs companion-matrix eigenvalue count on random
-    polynomials; every mutually determinate pair must agree."""
-    rng = _oracle_rng(seed)
+    """Sign-scan count vs companion-matrix eigenvalue count on random
+    polynomials, for region "left-half-plane" (Routh scan) or "disk"
+    (conformal map + Routh scan); every mutually determinate pair must
+    agree."""
+    offset, label = _ORACLE_REGIONS[region]
+    rng = _oracle_rng(seed, offset)
     mismatched = 0
     compared = 0
     for n in range(1, max_degree + 1):
         params = rng.standard_normal((per_degree, n + 1))
-        rh = kernels.batch_poly_halfplane(params, tol)
-        eig = kernels.companion_region_codes(params, "left-half-plane", tol)
-        both = (rh >= 0) & (eig >= 0)
+        if region == "disk":
+            scan = kernels.batch_poly_disk(params, kernels.mobius_weights(n), tol)
+        else:
+            scan = kernels.batch_poly_halfplane(params, tol)
+        eig = kernels.companion_region_codes(params, region, tol)
+        both = (scan >= 0) & (eig >= 0)
         compared += int(both.sum())
-        mismatched += int((rh[both] != eig[both]).sum())
+        mismatched += int((scan[both] != eig[both]).sum())
     return CheckResult(
-        "half-plane count vs eigenvalue oracle",
-        mismatched == 0,
-        f"{mismatched} mismatches over {compared} mutually determinate samples",
-    )
-
-
-def check_disk_oracle(
-    per_degree: int = 10_000,
-    max_degree: int = 6,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
-    """Unit-disk count (conformal map + Routh scan) vs direct eigenvalue
-    moduli of the companion matrix."""
-    rng = _oracle_rng(seed, offset=1)
-    mismatched = 0
-    compared = 0
-    for n in range(1, max_degree + 1):
-        params = rng.standard_normal((per_degree, n + 1))
-        jy = kernels.batch_poly_disk(params, kernels.mobius_weights(n), tol)
-        eig = kernels.companion_region_codes(params, "disk", tol)
-        both = (jy >= 0) & (eig >= 0)
-        compared += int(both.sum())
-        mismatched += int((jy[both] != eig[both]).sum())
-    return CheckResult(
-        "disk count vs eigenvalue oracle",
+        f"{label} count vs eigenvalue oracle",
         mismatched == 0,
         f"{mismatched} mismatches over {compared} mutually determinate samples",
     )
@@ -201,9 +185,11 @@ def check_mean_index(
     worst_ratio = 0.0
     detail = ""
     ok = True
-    for kind in SYMMETRIC_KINDS:
+    for kind in FAMILY_KINDS:
         for n in range(1, max_n + 1):
             family = ModelFamily(kind, n)
+            if not family.symmetric:
+                continue
             cfg = EstimationConfig(family, samples, seed, tol=tol)
             freq = frequencies(run_estimation(cfg))
             mean = float(np.arange(n + 1) @ freq.values)
@@ -266,8 +252,8 @@ def run_all(
 ) -> list:
     """Run every check; statistical bounds adapt to the sample count."""
     return [
-        check_halfplane_oracle(oracle_polys, seed=seed, tol=tol),
-        check_disk_oracle(oracle_polys, seed=seed, tol=tol),
+        check_oracle("left-half-plane", oracle_polys, seed=seed, tol=tol),
+        check_oracle("disk", oracle_polys, seed=seed, tol=tol),
         check_constraint_closure(),
         check_exact_catalog(),
         check_quadrature(),

@@ -86,6 +86,16 @@ class TestEstimate:
         assert code == 0 and out == ""
         assert "exact-or-relation" in target.read_text()
 
+    def test_unwritable_out_file_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.txt"
+        code, out, err = run_cli(
+            capsys,
+            "estimate", "--family", "cont-eq", "--n", "2",
+            "--samples", "2000", "--out", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing-dir" in err
+
     def test_usage_error_bad_family(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--family", "bogus", "--n", "2")
         assert code == 1 and "error" in err
@@ -150,6 +160,13 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS]") == 9
         assert "9/9 checks passed" in out
+
+    @pytest.mark.parametrize("flag", ["--samples", "--oracle-polys"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_size_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

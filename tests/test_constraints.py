@@ -75,7 +75,7 @@ class TestWorkedSystems:
 
     def test_disc_sys_trivial_system(self):
         cs = build_constraints(ModelFamily("disc-sys", 3))
-        assert not cs.refinement_eligible
+        assert not cs.family.symmetric
         assert cs.free == (0, 1, 2)
         # only total mass: p3 = 1 - p0 - p1 - p2
         assert np.array_equal(cs.design[3], [-1, -1, -1])

@@ -52,7 +52,6 @@ class TestModelFamily:
     def test_symmetry_flags(self):
         assert ModelFamily("cont-sys", 2).symmetric
         assert not ModelFamily("disc-sys", 2).symmetric
-        assert not ModelFamily("disc-sys", 2).refinement_eligible
 
     def test_validation(self):
         with pytest.raises(ValueError):
