@@ -24,7 +24,7 @@ from .montecarlo import (
     frequencies,
     run_estimation,
 )
-from .polyroot import DEFAULT_TOL
+from .polyroot import DEFAULT_TOL, validate_tol
 from .refine import nonneg_repair
 from . import verify as verify_suite
 
@@ -232,6 +232,7 @@ def _cmd_verify(args) -> int:
         raise CliError("--samples must be >= 1")
     if args.oracle_polys < 1:
         raise CliError("--oracle-polys must be >= 1")
+    validate_tol(args.tol)
     results = verify_suite.run_all(
         samples=args.samples,
         seed=args.seed,

@@ -6,10 +6,12 @@ coefficient.
 
 Root-count results are integer codes: ``k >= 0`` is a definite count, and
 the negative constants below are the indeterminate verdicts.  The scalar
-kernels are plain Python over numpy arrays, called once per sample by the
-batch loops.  Their sums and matrix products are explicit loops: that
-floating-point order fixes every histogram bit for bit, so a faster
-version must reproduce it exactly.
+kernels (routh_scan, jury_scan, char_poly) are plain Python over one
+polynomial or matrix; they are the reference implementation and the public
+API behind polyroot.  Their sums and matrix products are explicit loops,
+and that floating-point order fixes every histogram bit for bit.  The batch
+kernels that the Monte Carlo layer calls run the same recurrences over a
+whole chunk of samples at once, column by column, in the same order.
 """
 
 from functools import lru_cache
@@ -265,42 +267,143 @@ def char_poly(a):
 
 
 # ---------------------------------------------------------------------------
-# Batch loops over sample chunks (the Monte Carlo hot path).
+# Batch kernels over sample chunks (the Monte Carlo hot path).  Each runs its
+# scalar counterpart's recurrence over a whole chunk at once: every sample
+# sees the same float operations in the same order, so the codes match the
+# scalar kernels bit for bit.  Inside, coefficient arrays are (n+1, count)
+# and matrix stacks (n, n, count): one column per sample, so each numpy
+# operation runs along the sample axis.
+
+
+def _abs_max(cols):
+    """Per-column max |x|, skipping NaN as the scalar kernels' scans do."""
+    return np.fmax.reduce(np.abs(cols), axis=0, initial=0.0)
+
+
+def _routh_columns(coeffs, tol):
+    """routh_scan of each column of an (n+1, count) ascending-coefficient array.
+
+    All columns step through the Routh array in lockstep.  A column leaves
+    the working set when its pivot is ~0: as ZERO_PIVOT or, when the whole
+    row is ~0, through routh_scan itself, which repairs the even divisor.
+    """
+    n = coeffs.shape[0] - 1
+    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
+    scale = _abs_max(coeffs)
+    thr = tol * scale
+    idx = np.flatnonzero((scale != 0.0) & ~(np.abs(coeffs[n]) <= thr))
+    if n == 0:
+        codes[idx] = 0
+        return codes
+
+    thr = thr[idx]
+    prev = coeffs[n::-2, idx]
+    cur = np.zeros_like(prev)
+    cur[: (n + 1) // 2] = coeffs[n - 1 :: -2, idx]
+    changes = np.zeros(idx.size, dtype=np.int64)
+    last = prev[0] > 0.0
+    for deg in range(n - 1, -1, -1):
+        allzero = ~(np.abs(cur) > thr).any(axis=0)
+        dead = allzero | (np.abs(cur[0]) <= thr)
+        if dead.any():
+            for col in idx[allzero]:
+                codes[col] = routh_scan(coeffs[:, col], tol)
+            codes[idx[dead & ~allzero]] = ZERO_PIVOT
+            keep = ~dead
+            idx, thr, changes, last = idx[keep], thr[keep], changes[keep], last[keep]
+            prev, cur = prev[:, keep], cur[:, keep]
+        s = cur[0] > 0.0
+        changes += s != last
+        last = s
+        if deg == 0:
+            break
+        piv = cur[0]
+        top = prev[0]
+        nxt = np.zeros_like(cur)
+        nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv
+        prev = cur
+        cur = nxt
+    codes[idx] = n - changes
+    return codes
+
+
+def _jury_columns(coeffs, weights, tol):
+    """jury_scan of each column of an (n+1, count) ascending-coefficient array.
+
+    The Moebius sum adds every term, where mobius_apply skips zero
+    coefficients: a +-0 product added to a sum that starts at +0.0 never
+    changes it.
+    """
+    n = coeffs.shape[0] - 1
+    scale = _abs_max(coeffs)
+    zero_lead = (scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)
+    star = np.zeros_like(coeffs)
+    for j in range(n + 1):
+        star += coeffs[j] * weights[j][:, None]
+    sscale = _abs_max(star)
+    boundary = ~zero_lead & ((sscale == 0.0) | (np.abs(star[n]) <= tol * sscale))
+    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
+    codes[boundary] = BOUNDARY_ROOT
+    scan = ~(zero_lead | boundary)
+    codes[scan] = _routh_columns(star[:, scan], tol)
+    return codes
+
+
+def _char_poly_columns(mats):
+    """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
+
+    Products accumulate over l in ascending order and traces over the
+    diagonal in ascending order, both from zero, as in char_poly; matmul,
+    einsum and trace would reorder or fuse those additions.  The last
+    product feeds only the trace, so only its diagonal is formed.
+    """
+    count, n, _ = mats.shape
+    a = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    coeffs = np.zeros((n + 1, count))
+    coeffs[n] = 1.0
+    m = np.zeros_like(a)
+    for i in range(n):
+        m[i, i] = 1.0
+    am = np.empty_like(a)
+    term = np.empty_like(a)
+    for k in range(1, n):
+        am.fill(0.0)
+        for l in range(n):
+            np.multiply(a[:, l, None], m[None, l], out=term)
+            am += term
+        c = -_ascending_sum(am[i, i] for i in range(n)) / k
+        coeffs[n - k] = c
+        m, am = am, m
+        for i in range(n):
+            m[i, i] += c
+    diag = np.zeros((n, count))
+    for l in range(n):
+        diag += a[:, l] * m[l]
+    coeffs[0] = -_ascending_sum(diag) / n
+    return coeffs
+
+
+def _ascending_sum(terms):
+    """terms[0] + terms[1] + ..., added in order starting from +0.0."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
 
 
 def batch_poly_halfplane(params, tol):
     """Half-plane counts for polynomials given highest-degree-first rows."""
-    count = params.shape[0]
-    n = params.shape[1] - 1
-    codes = np.empty(count, dtype=np.int64)
-    coeffs = np.empty(n + 1)
-    for i in range(count):
-        for j in range(n + 1):
-            coeffs[j] = params[i, n - j]
-        codes[i] = routh_scan(coeffs, tol)
-    return codes
+    return _routh_columns(params.T[::-1], tol)
 
 
 def batch_poly_disk(params, weights, tol):
     """Unit-disk counts for polynomials given highest-degree-first rows."""
-    count = params.shape[0]
-    n = params.shape[1] - 1
-    codes = np.empty(count, dtype=np.int64)
-    coeffs = np.empty(n + 1)
-    for i in range(count):
-        for j in range(n + 1):
-            coeffs[j] = params[i, n - j]
-        codes[i] = jury_scan(coeffs, weights, tol)
-    return codes
+    return _jury_columns(params.T[::-1], weights, tol)
 
 
 def batch_matrix_halfplane(mats, tol):
     """Eigenvalues with Re < 0 per matrix, via char_poly + routh_scan."""
-    count = mats.shape[0]
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        codes[i] = routh_scan(char_poly(mats[i]), tol)
-    return codes
+    return _routh_columns(_char_poly_columns(mats), tol)
 
 
 def batch_pencil_disk(params, n, weights, tol):
@@ -312,23 +415,15 @@ def batch_pencil_disk(params, n, weights, tol):
     det-scale instead of b^n, so small |b| draws stay well conditioned, and
     b is never divided by.
     """
-    count = params.shape[0]
-    codes = np.empty(count, dtype=np.int64)
-    a = np.empty((n, n))
-    scaled = np.empty(n + 1)
-    for i in range(count):
-        b = abs(params[i, 0])
-        for r in range(n):
-            for c in range(n):
-                a[r, c] = params[i, 1 + r * n + c]
-        coeffs = char_poly(a)
-        f = 1.0
-        for t in range(n, -1, -1):
-            scaled[t] = coeffs[n - t] * f
-            f *= b
-        outside = jury_scan(scaled, weights, tol)
-        codes[i] = outside if outside < 0 else n - outside
-    return codes
+    b = np.abs(params[:, 0])
+    coeffs = _char_poly_columns(params[:, 1:].reshape(-1, n, n))
+    scaled = np.empty_like(coeffs)
+    f = np.ones_like(b)
+    for t in range(n, -1, -1):
+        scaled[t] = coeffs[n - t] * f
+        f = f * b
+    outside = _jury_columns(scaled, weights, tol)
+    return np.where(outside < 0, outside, n - outside)
 
 
 # ---------------------------------------------------------------------------

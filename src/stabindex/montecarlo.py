@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelFamily, batch_indices
-from .polyroot import DEFAULT_TOL
+from .polyroot import DEFAULT_TOL, validate_tol
 
 # Fixed documented default so that command-line examples reproduce exactly.
 DEFAULT_SEED = 20231
@@ -57,8 +57,7 @@ class EstimationConfig:
             raise ValueError("need 1 <= shards <= samples")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        validate_tol(self.tol)
 
 
 @dataclass

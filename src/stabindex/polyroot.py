@@ -13,6 +13,7 @@ rather than silently resolved; the Monte Carlo layer counts them
 separately.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,16 @@ class RootCount:
         return f"Indeterminate({self.reason})"
 
 
+def validate_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number.
+
+    NaN and inf slip past a plain ``tol <= 0`` test and then turn every
+    sample indeterminate.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+
+
 def _as_coeffs(p) -> np.ndarray:
     c = np.ascontiguousarray(p, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -77,8 +88,7 @@ def routh_hurwitz_count(p, tol: float = DEFAULT_TOL) -> RootCount:
     imaginary-axis roots; any other ~0 pivot comes back indeterminate.
     Tolerances are relative to the largest coefficient.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     return RootCount.from_code(kernels.routh_scan(_as_coeffs(p), tol))
 
 
@@ -100,8 +110,7 @@ def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
     Computed as the half-plane count of ``mobius_star(p)``.  A degree drop
     in the transformed polynomial means p(1) ~ 0, a boundary root.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     c = _as_coeffs(p)
     return RootCount.from_code(kernels.jury_scan(c, mobius_weights(c.size - 1), tol))
 
@@ -112,6 +121,7 @@ def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises ValueError for degree 0 or a leading coefficient within tolerance
     of zero.
     """
+    validate_tol(tol)
     c = _as_coeffs(p)
     n = c.size - 1
     if n < 1:
@@ -135,8 +145,7 @@ def eigen_region_count(
     result indeterminate.  A LinAlgError from the eigenvalue iteration is a
     distinct failure and propagates.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     a = np.ascontiguousarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")

@@ -106,6 +106,14 @@ class TestEstimate:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "estimate", "--family", "cont-eq", "--n", "2", "--tol", tol
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tol" in err
+
     def test_abort_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -167,6 +175,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", flag, value)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tol" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

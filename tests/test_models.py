@@ -101,6 +101,14 @@ class TestForcedSamples:
         with pytest.raises(ValueError):
             index_from_params(ModelFamily("cont-eq", 2), [1.0, 2.0])
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_bad_tol_rejected(self, tol):
+        fam = ModelFamily("cont-eq", 1)
+        with pytest.raises(ValueError, match="finite positive"):
+            index_from_params(fam, [1.0, 1.0], tol=tol)
+        with pytest.raises(ValueError, match="finite positive"):
+            batch_indices(fam, np.ones((3, 2)), "eigen", tol=tol)
+
 
 class TestSampleProperties:
     def test_scale_invariance(self):

@@ -136,6 +136,11 @@ class TestAgainstKnownValues:
             run_estimation(cfg)
         assert err.value.fraction > 1e-3
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_config_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="finite positive"):
+            EstimationConfig(ModelFamily("cont-eq", 2), 100, 1, tol=tol)
+
 
 class TestConvergence:
     def test_errors_decay_inside_envelope(self):

@@ -249,3 +249,16 @@ class TestRootCount:
         assert RootCount.from_code(-1).reason == "zero-pivot"
         assert RootCount.from_code(-2).reason == "boundary-root"
         assert RootCount.from_code(-3).reason == "zero-leading-coefficient"
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-12])
+    def test_counts_reject_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="finite positive"):
+            routh_hurwitz_count([1, 1], tol=tol)
+        with pytest.raises(ValueError, match="finite positive"):
+            jury_count([0.5, 1], tol=tol)
+        with pytest.raises(ValueError, match="finite positive"):
+            eigen_region_count(np.eye(2), tol=tol)
+        with pytest.raises(ValueError, match="finite positive"):
+            companion_matrix([1, 1], tol=tol)
