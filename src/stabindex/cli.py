@@ -219,7 +219,7 @@ def _cmd_convergence(args) -> int:
         lines += [f"  {m:<9d}  {est:.5f}    {err:.6f}" for m, est, err in res.rows]
         lines.append("")
         if res.slope is None:
-            lines.append("slope: undefined (fewer than two nonzero errors)")
+            lines.append("slope: undefined (nonzero errors at fewer than two sample sizes)")
         else:
             lines.append(f"log-log slope: {res.slope:.3f}   R^2: {res.r_squared:.3f}")
         text = "\n".join(lines) + "\n"

@@ -273,6 +273,12 @@ def char_poly(a):
 # scalar kernels bit for bit.  Inside, coefficient arrays are (n+1, count)
 # and matrix stacks (n, n, count): one column per sample, so each numpy
 # operation runs along the sample axis.
+#
+# Every working array is C-contiguous, so that axis is the contiguous one.
+# Inputs are copied once at entry (the equation kernels receive transposed
+# views), and columns are selected with np.take / np.compress on axis 1:
+# advanced or boolean indexing on axis 1 returns Fortran order, on which
+# each lockstep step strides across the samples at several times the cost.
 
 
 def _abs_max(cols):
@@ -287,6 +293,7 @@ def _routh_columns(coeffs, tol):
     the working set when its pivot is ~0: as ZERO_PIVOT or, when the whole
     row is ~0, through routh_scan itself, which repairs the even divisor.
     """
+    coeffs = np.ascontiguousarray(coeffs)
     n = coeffs.shape[0] - 1
     codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
     scale = _abs_max(coeffs)
@@ -297,9 +304,9 @@ def _routh_columns(coeffs, tol):
         return codes
 
     thr = thr[idx]
-    prev = coeffs[n::-2, idx]
+    prev = coeffs[n::-2].take(idx, axis=1)
     cur = np.zeros_like(prev)
-    cur[: (n + 1) // 2] = coeffs[n - 1 :: -2, idx]
+    cur[: (n + 1) // 2] = coeffs[n - 1 :: -2].take(idx, axis=1)
     changes = np.zeros(idx.size, dtype=np.int64)
     last = prev[0] > 0.0
     for deg in range(n - 1, -1, -1):
@@ -311,7 +318,7 @@ def _routh_columns(coeffs, tol):
             codes[idx[dead & ~allzero]] = ZERO_PIVOT
             keep = ~dead
             idx, thr, changes, last = idx[keep], thr[keep], changes[keep], last[keep]
-            prev, cur = prev[:, keep], cur[:, keep]
+            prev, cur = prev.compress(keep, axis=1), cur.compress(keep, axis=1)
         s = cur[0] > 0.0
         changes += s != last
         last = s
@@ -334,6 +341,7 @@ def _jury_columns(coeffs, weights, tol):
     coefficients: a +-0 product added to a sum that starts at +0.0 never
     changes it.
     """
+    coeffs = np.ascontiguousarray(coeffs)
     n = coeffs.shape[0] - 1
     scale = _abs_max(coeffs)
     zero_lead = (scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)
@@ -345,7 +353,7 @@ def _jury_columns(coeffs, weights, tol):
     codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
     codes[boundary] = BOUNDARY_ROOT
     scan = ~(zero_lead | boundary)
-    codes[scan] = _routh_columns(star[:, scan], tol)
+    codes[scan] = _routh_columns(star.compress(scan, axis=1), tol)
     return codes
 
 

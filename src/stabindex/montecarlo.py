@@ -257,8 +257,11 @@ def convergence_study(
 
     Grid points reuse the same seed, so the runs are nested prefixes of one
     stream.  A log-log regression of error against sample size gives the
-    decay slope (absent when fewer than two errors are nonzero).
+    decay slope (absent unless the nonzero errors span at least two distinct
+    sample sizes).  ``exact`` is stored as a Python float, so the estimates
+    and errors are plain floats too.
     """
+    exact = float(exact)
     if not math.isfinite(exact):
         raise ValueError("an exact value is required for a convergence study")
     if not 0 <= k <= family.n:
@@ -271,7 +274,7 @@ def convergence_study(
         est = float(frequencies(run_estimation(cfg)).values[k])
         result.rows.append((int(m), est, abs(est - exact)))
     pts = [(m, e) for m, _, e in result.rows if e > 0.0]
-    if len(pts) >= 2:
+    if len({m for m, _ in pts}) >= 2:
         x = np.log10([m for m, _ in pts])
         y = np.log10([e for _, e in pts])
         slope, intercept = np.polyfit(x, y, 1)

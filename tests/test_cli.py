@@ -1,6 +1,10 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,31 @@ class TestConvergence:
         )
         assert code == 1
 
+    def test_csv_fields_are_plain_numbers(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "convergence", "--family", "cont-eq", "--n", "3", "--k", "0",
+            "--grid", "100,1000", "--format", "csv",
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "samples,estimate,error" and len(rows) == 2
+        for row in rows:
+            _, estimate, error = (float(field) for field in row.split(","))
+            assert error == abs(estimate - 1 / 16)  # p_0 of cont-eq n=3
+
+    def test_repeated_grid_size_has_no_slope(self, capsys):
+        # two errors at one sample size are no decay: no fit, no warning
+        code, out, err = run_cli(
+            capsys,
+            "convergence", "--family", "cont-eq", "--n", "3", "--k", "0",
+            "--grid", "100,100", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert [row["error"] > 0 for row in payload["rows"]] == [True, True]
+        assert payload["slope"] is None and payload["r_squared"] is None
+
 
 class TestVerify:
     def test_passing_run(self, capsys):
@@ -207,3 +236,24 @@ class TestVerify:
 
         bad = check_indeterminate_fraction(samples=5_000, tol=1e-2)
         assert not bad.passed
+
+
+def test_python_m_stabindex_runs_the_cli(capsys):
+    """``python -m stabindex`` from a checkout prints what cli.main prints."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "stabindex", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    argv = ("convergence", "--family", "disc-eq", "--n", "2", "--k", "2", "--grid", "100,1000")
+    proc = run_module(*argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    bad = run_module("estimate", "--family", "cont-eq", "--n", "0")
+    assert bad.returncode == 1 and bad.stderr.startswith("error: ")

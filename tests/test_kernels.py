@@ -85,29 +85,95 @@ def test_normal_draws_match_scalar(kind):
         np.testing.assert_array_equal(batch, _scalar_codes(kind, n, params), err_msg=f"n={n}")
 
 
-@pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_degenerate_draws_match_scalar(kind, monkeypatch):
-    """Integer draws in {-2..2} hit every indeterminate code and the
-    all-zero Routh rows that the batch kernel hands to routh_scan."""
-    fallbacks = []
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(kernel, *args) calls a batch kernel and records in
+    counted.fallbacks each column it hands to the scalar routh_scan."""
     scalar_scan = kernels.routh_scan
 
     def counting_scan(coeffs, tol):
-        fallbacks.append(coeffs)
+        call.fallbacks.append(coeffs)
         return scalar_scan(coeffs, tol)
 
+    def call(kernel, *args):
+        monkeypatch.setattr(kernels, "routh_scan", counting_scan)
+        try:
+            return kernel(*args)
+        finally:
+            monkeypatch.setattr(kernels, "routh_scan", scalar_scan)
+
+    call.fallbacks = []
+    return call
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_degenerate_draws_match_scalar(kind, counted):
+    """Integer draws in {-2..2} hit every indeterminate code and the
+    all-zero Routh rows that the batch kernel hands to routh_scan."""
     seen = set()
     for n in DEGREES:
         params = _draws(kind, n, INTEGER_ROWS, integer=True)
-        monkeypatch.setattr(kernels, "routh_scan", counting_scan)
-        batch = _batch_codes(kind, n, params)
-        monkeypatch.setattr(kernels, "routh_scan", scalar_scan)
+        batch = counted(_batch_codes, kind, n, params)
         np.testing.assert_array_equal(batch, _scalar_codes(kind, n, params), err_msg=f"n={n}")
         seen.update(batch.tolist())
     # a characteristic polynomial is monic, so cont-sys never has a ~0 lead
     expected = {ZERO_PIVOT, BOUNDARY_ROOT} | ({ZERO_LEADING} if kind != "cont-sys" else set())
     assert expected <= seen
-    assert fallbacks, "no row reached the all-zero-row fallback"
+    assert counted.fallbacks, "no row reached the all-zero-row fallback"
+
+
+def _layouts(a):
+    """``a`` in C order, in Fortran order, and as a view with negative strides."""
+    reversed_view = np.flip(np.flip(a).copy())
+    assert not reversed_view.flags.c_contiguous and not reversed_view.flags.f_contiguous
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "reversed": reversed_view}
+
+
+def _layout_cases(kind, n, params):
+    """(name, kernel, input) for each kernel that reads this family's rows."""
+    weights = mobius_weights(n)
+    if kind == "cont-eq":
+        return [
+            ("batch_poly_halfplane", lambda a: kernels.batch_poly_halfplane(a, TOL), params),
+            ("_routh_columns", lambda a: kernels._routh_columns(a, TOL), params.T[::-1]),
+        ]
+    if kind == "disc-eq":
+        return [
+            ("batch_poly_disk", lambda a: kernels.batch_poly_disk(a, weights, TOL), params),
+            ("_jury_columns", lambda a: kernels._jury_columns(a, weights, TOL), params.T[::-1]),
+        ]
+    if kind == "cont-sys":
+        mats = _matrices(kind, n, params)
+        return [("batch_matrix_halfplane", lambda a: kernels.batch_matrix_halfplane(a, TOL), mats)]
+    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, n, weights, TOL), params)]
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_codes_do_not_depend_on_input_layout(kind, counted):
+    """C-ordered, Fortran-ordered and negatively strided inputs give the
+    scalar codes; integer rows take the ZERO_PIVOT compaction and the
+    all-zero-row fallback from every layout."""
+    seen = set()
+    for n in DEGREES:
+        for integer in (False, True):
+            params = _draws(kind, n, INTEGER_ROWS, integer)
+            expected = _scalar_codes(kind, n, params)
+            seen.update(expected.tolist())
+            for name, kernel, rows in _layout_cases(kind, n, params):
+                for layout, arr in _layouts(rows).items():
+                    np.testing.assert_array_equal(
+                        counted(kernel, arr), expected, err_msg=f"{name} {layout} n={n}"
+                    )
+            if kind in ("cont-sys", "disc-sys"):
+                mats = _matrices(kind, n, params)
+                polys = kernels._char_poly_columns(mats).view(np.int64)
+                for layout, arr in _layouts(mats).items():
+                    np.testing.assert_array_equal(
+                        kernels._char_poly_columns(arr).view(np.int64), polys,
+                        err_msg=f"_char_poly_columns {layout} n={n}",
+                    )
+    assert {ZERO_PIVOT, BOUNDARY_ROOT} <= seen
+    assert counted.fallbacks, "no row reached the all-zero-row fallback"
 
 
 def test_known_all_zero_rows():

@@ -163,6 +163,21 @@ class TestConvergence:
         )
         assert res.slope is None and res.r_squared is None
 
+    def test_repeated_size_slope_absent(self):
+        # two nonzero errors at one sample size: no fit from one point
+        res = convergence_study(
+            ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 100], seed=20231
+        )
+        assert [err > 0.0 for _, _, err in res.rows] == [True, True]
+        assert res.slope is None and res.r_squared is None
+
+    def test_numpy_exact_gives_python_floats(self):
+        res = convergence_study(
+            ModelFamily("disc-eq", 2), 2, np.float64(DISC_EQ_2_P2), [100], seed=20231
+        )
+        assert type(res.exact) is float
+        assert all(type(v) is float for _, est, err in res.rows for v in (est, err))
+
     def test_requires_finite_exact(self):
         with pytest.raises(ValueError):
             convergence_study(
