@@ -232,6 +232,8 @@ def _cmd_verify(args) -> int:
         raise CliError("--samples must be >= 1")
     if args.oracle_polys < 1:
         raise CliError("--oracle-polys must be >= 1")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     validate_tol(args.tol)
     results = verify_suite.run_all(
         samples=args.samples,

@@ -10,7 +10,6 @@ the lowest-index undetermined probabilities, which is the form the
 least-squares refinement consumes.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,17 +42,6 @@ class ConstraintSystem:
     @property
     def n(self) -> int:
         return self.family.n
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family.kind,
-                "n": self.family.n,
-                "free": list(self.free),
-                "design": [list(map(float, row)) for row in self.design],
-                "offset": [float(v) for v in self.offset],
-            }
-        )
 
 
 def half_plane_sign_prob(sigma: float, rho: float) -> float:
@@ -122,8 +110,8 @@ def build_constraints(family: ModelFamily, pinned=()) -> ConstraintSystem:
 
     Gauss-Jordan elimination with pivot columns taken highest index first,
     which leaves the lowest-index undetermined probabilities as the free
-    vector.  disc-sys carries only the total-mass relation (and is flagged
-    refinement-ineligible via the family).  Raises InconsistentConstraints
+    vector.  disc-sys carries only the total-mass relation, so it has nothing
+    to refine (see ModelFamily.symmetric).  Raises InconsistentConstraints
     when pinning contradicts the relations.
     """
     n = family.n

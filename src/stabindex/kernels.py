@@ -197,9 +197,10 @@ def routh_scan(coeffs, tol):
     return n - changes
 
 
-def mobius_apply(coeffs, weights):
-    """Expand sum_j coeffs[j] (z+1)^j (z-1)^(n-j) using precomputed weights."""
+def mobius_apply(coeffs):
+    """Expand sum_j coeffs[j] (z+1)^j (z-1)^(n-j) against mobius_weights(n)."""
     n = coeffs.shape[0] - 1
+    weights = mobius_weights(n)
     star = np.zeros(n + 1)
     for j in range(n + 1):
         c = coeffs[j]
@@ -209,7 +210,7 @@ def mobius_apply(coeffs, weights):
     return star
 
 
-def jury_scan(coeffs, weights, tol):
+def jury_scan(coeffs, tol):
     """Number of roots with |x| < 1: conformal map to a half-plane + Routh scan.
 
     A degree drop in the transformed polynomial means the input vanishes at
@@ -225,7 +226,7 @@ def jury_scan(coeffs, weights, tol):
         return ZERO_LEADING
     if abs(coeffs[n]) <= tol * scale:
         return ZERO_LEADING
-    star = mobius_apply(coeffs, weights)
+    star = mobius_apply(coeffs)
     sscale = 0.0
     for j in range(n + 1):
         v = abs(star[j])
@@ -334,7 +335,7 @@ def _routh_columns(coeffs, tol):
     return codes
 
 
-def _jury_columns(coeffs, weights, tol):
+def _jury_columns(coeffs, tol):
     """jury_scan of each column of an (n+1, count) ascending-coefficient array.
 
     The Moebius sum adds every term, where mobius_apply skips zero
@@ -345,6 +346,7 @@ def _jury_columns(coeffs, weights, tol):
     n = coeffs.shape[0] - 1
     scale = _abs_max(coeffs)
     zero_lead = (scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)
+    weights = mobius_weights(n)
     star = np.zeros_like(coeffs)
     for j in range(n + 1):
         star += coeffs[j] * weights[j][:, None]
@@ -404,9 +406,9 @@ def batch_poly_halfplane(params, tol):
     return _routh_columns(params.T[::-1], tol)
 
 
-def batch_poly_disk(params, weights, tol):
+def batch_poly_disk(params, tol):
     """Unit-disk counts for polynomials given highest-degree-first rows."""
-    return _jury_columns(params.T[::-1], weights, tol)
+    return _jury_columns(params.T[::-1], tol)
 
 
 def batch_matrix_halfplane(mats, tol):
@@ -414,7 +416,7 @@ def batch_matrix_halfplane(mats, tol):
     return _routh_columns(_char_poly_columns(mats), tol)
 
 
-def batch_pencil_disk(params, n, weights, tol):
+def batch_pencil_disk(params, n, tol):
     """Counts of eigenvalues of A with |x| < |b|, rows packed as (b, A).
 
     Counted through the complement: the polynomial sum_t c_{n-t} b^{n-t} y^t
@@ -430,7 +432,7 @@ def batch_pencil_disk(params, n, weights, tol):
     for t in range(n, -1, -1):
         scaled[t] = coeffs[n - t] * f
         f = f * b
-    outside = _jury_columns(scaled, weights, tol)
+    outside = _jury_columns(scaled, tol)
     return np.where(outside < 0, outside, n - outside)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import mobius_weights
 from .polyroot import DEFAULT_TOL, RootCount, validate_tol
 
 FAMILY_KINDS = ("cont-sys", "cont-eq", "disc-sys", "disc-eq")
@@ -108,7 +107,7 @@ def batch_indices(
         return kernels.companion_region_codes(params, "left-half-plane", tol)
     if family.kind == "disc-eq":
         if how == "rh":
-            return kernels.batch_poly_disk(params, mobius_weights(n), tol)
+            return kernels.batch_poly_disk(params, tol)
         return kernels.companion_region_codes(params, "disk", tol)
     if family.kind == "cont-sys":
         mats = params.reshape(-1, n, n)
@@ -117,7 +116,7 @@ def batch_indices(
         return kernels.eig_halfplane_codes(mats, tol)
     # disc-sys
     if how == "rh":
-        return kernels.batch_pencil_disk(params, n, mobius_weights(n), tol)
+        return kernels.batch_pencil_disk(params, n, tol)
     radii = np.abs(params[:, 0])
     mats = params[:, 1:].reshape(-1, n, n)
     return kernels.eig_disk_codes(mats, radii, tol)

@@ -79,10 +79,6 @@ class IndexHistogram:
         if int(self.counts.sum()) + self.indeterminate != self.samples:
             raise ValueError("counts + indeterminate must equal samples")
 
-    @classmethod
-    def zero(cls, family: ModelFamily, seed: int | None = None) -> "IndexHistogram":
-        return cls(family, np.zeros(family.n + 1, dtype=np.int64), 0, 0, seed)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -93,17 +89,6 @@ class IndexHistogram:
                 "counts": [int(c) for c in self.counts],
                 "indeterminate": int(self.indeterminate),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "IndexHistogram":
-        obj = json.loads(text)
-        return cls(
-            family=ModelFamily(obj["family"], obj["n"]),
-            counts=np.asarray(obj["counts"], dtype=np.int64),
-            indeterminate=int(obj["indeterminate"]),
-            samples=int(obj["M"]),
-            seed=obj["seed"],
         )
 
 
@@ -146,13 +131,6 @@ class ProbabilityVector:
                 "stderr": [_clean(s) for s in self.stderr],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbabilityVector":
-        obj = json.loads(text)
-        vals = [math.nan if v is None else float(v) for v in obj["values"]]
-        errs = [math.nan if s is None else float(s) for s in obj["stderr"]]
-        return cls(np.asarray(vals), np.asarray(errs), obj["source"])
 
 
 def shard_stream(seed: int, shard: int) -> np.random.Generator:
@@ -199,7 +177,7 @@ def merge(a: IndexHistogram, b: IndexHistogram) -> IndexHistogram:
     )
 
 
-def run_estimation(cfg: EstimationConfig, max_workers: int | None = None) -> IndexHistogram:
+def run_estimation(cfg: EstimationConfig) -> IndexHistogram:
     """Draw cfg.samples samples and histogram their stability indices.
 
     Shards run concurrently but are merged in shard order, so the result is
@@ -210,7 +188,7 @@ def run_estimation(cfg: EstimationConfig, max_workers: int | None = None) -> Ind
     if cfg.shards == 1:
         total = run_shard(cfg, 0)
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor() as pool:
             parts = list(pool.map(lambda s: run_shard(cfg, s), range(cfg.shards)))
         total = parts[0]
         for part in parts[1:]:

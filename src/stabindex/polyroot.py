@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT, mobius_weights
+from .kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 
 DEFAULT_TOL = 1e-12
 
@@ -100,8 +100,7 @@ def mobius_star(p) -> np.ndarray:
     the leading entry is zero exactly when p(1) = 0 (degree drop).
     Coefficients are accumulated against exact integer binomial weights.
     """
-    c = _as_coeffs(p)
-    return kernels.mobius_apply(c, mobius_weights(c.size - 1))
+    return kernels.mobius_apply(_as_coeffs(p))
 
 
 def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
@@ -111,8 +110,7 @@ def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
     in the transformed polynomial means p(1) ~ 0, a boundary root.
     """
     validate_tol(tol)
-    c = _as_coeffs(p)
-    return RootCount.from_code(kernels.jury_scan(c, mobius_weights(c.size - 1), tol))
+    return RootCount.from_code(kernels.jury_scan(_as_coeffs(p), tol))
 
 
 def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:

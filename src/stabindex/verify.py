@@ -13,15 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from . import kernels
 from .constraints import build_constraints, exact_probabilities
-from .models import FAMILY_KINDS, ModelFamily
+from .models import FAMILY_KINDS, ModelFamily, batch_indices
 from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies, run_estimation
 from .polyroot import DEFAULT_TOL
 
 # Disjoint from shard spawn keys used in estimation runs.
 _ORACLE_KEY = 1001
 _QUADRANT_KEY = 1002
+
+# Highest order each sweep covers; _MAX_N is shared by the relation,
+# catalog and indeterminate-budget checks.
+_ORACLE_MAX_DEGREE = 6
+_MEAN_MAX_N = 6
+_MAX_N = 10
 
 
 @dataclass
@@ -40,14 +45,17 @@ def _oracle_rng(seed, offset):
     )
 
 
-# Oracle region -> (RNG substream offset, name used in the check's title).
-_ORACLE_REGIONS = {"left-half-plane": (0, "half-plane"), "disk": (1, "disk")}
+# Oracle region -> (RNG substream offset, name used in the check's title,
+# the equation family whose index counts roots in that region).
+_ORACLE_REGIONS = {
+    "left-half-plane": (0, "half-plane", "cont-eq"),
+    "disk": (1, "disk", "disc-eq"),
+}
 
 
 def check_oracle(
     region: str,
     per_degree: int = 10_000,
-    max_degree: int = 6,
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
@@ -55,17 +63,15 @@ def check_oracle(
     polynomials, for region "left-half-plane" (Routh scan) or "disk"
     (conformal map + Routh scan); every mutually determinate pair must
     agree."""
-    offset, label = _ORACLE_REGIONS[region]
+    offset, label, kind = _ORACLE_REGIONS[region]
     rng = _oracle_rng(seed, offset)
     mismatched = 0
     compared = 0
-    for n in range(1, max_degree + 1):
+    for n in range(1, _ORACLE_MAX_DEGREE + 1):
+        family = ModelFamily(kind, n)
         params = rng.standard_normal((per_degree, n + 1))
-        if region == "disk":
-            scan = kernels.batch_poly_disk(params, kernels.mobius_weights(n), tol)
-        else:
-            scan = kernels.batch_poly_halfplane(params, tol)
-        eig = kernels.companion_region_codes(params, region, tol)
+        scan = batch_indices(family, params, "rh", tol)
+        eig = batch_indices(family, params, "eigen", tol)
         both = (scan >= 0) & (eig >= 0)
         compared += int(both.sum())
         mismatched += int((scan[both] != eig[both]).sum())
@@ -76,12 +82,12 @@ def check_oracle(
     )
 
 
-def check_constraint_closure(max_n: int = 10) -> CheckResult:
+def check_constraint_closure() -> CheckResult:
     """Any free vector q yields sum(p) = 1: the all-ones row must annihilate
     the design matrix and send the offset to 1."""
     worst = 0.0
     for kind in FAMILY_KINDS:
-        for n in range(1, max_n + 1):
+        for n in range(1, _MAX_N + 1):
             cs = build_constraints(ModelFamily(kind, n))
             ones = np.ones(n + 1)
             col = float(np.abs(ones @ cs.design).max()) if cs.design.size else 0.0
@@ -90,7 +96,7 @@ def check_constraint_closure(max_n: int = 10) -> CheckResult:
     return CheckResult(
         "constraint closure (sum p = 1 for all q)",
         worst < 1e-12,
-        f"max residual {worst:.2e} over families up to n={max_n}",
+        f"max residual {worst:.2e} over families up to n={_MAX_N}",
     )
 
 
@@ -99,7 +105,7 @@ def check_exact_catalog() -> CheckResult:
     symmetric entries consistent."""
     worst = 0.0
     for kind in FAMILY_KINDS:
-        for n in range(1, 11):
+        for n in range(1, _MAX_N + 1):
             family = ModelFamily(kind, n)
             exact = exact_probabilities(family)
             known = exact.known
@@ -174,10 +180,7 @@ def check_orthant_determinant(
 
 
 def check_mean_index(
-    samples: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-    max_n: int = 6,
-    tol: float = DEFAULT_TOL,
+    samples: int = 1_000_000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Mean index n/2 for the three symmetric families, within
     4 sqrt(n/samples).  Not asserted for disc-sys, whose distribution is
@@ -186,7 +189,7 @@ def check_mean_index(
     detail = ""
     ok = True
     for kind in FAMILY_KINDS:
-        for n in range(1, max_n + 1):
+        for n in range(1, _MEAN_MAX_N + 1):
             family = ModelFamily(kind, n)
             if not family.symmetric:
                 continue
@@ -218,10 +221,7 @@ def check_determinism(samples: int = 10_000, seed: int = DEFAULT_SEED) -> CheckR
 
 
 def check_indeterminate_fraction(
-    samples: int = 10_000,
-    seed: int = DEFAULT_SEED,
-    max_n: int = 10,
-    tol: float = DEFAULT_TOL,
+    samples: int = 10_000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """At the working tolerance the indeterminate share stays below the
     estimation abort threshold for every family and order."""
@@ -229,7 +229,7 @@ def check_indeterminate_fraction(
     where = ""
     try:
         for kind in FAMILY_KINDS:
-            for n in range(1, max_n + 1):
+            for n in range(1, _MAX_N + 1):
                 cfg = EstimationConfig(ModelFamily(kind, n), samples, seed, tol=tol)
                 hist = run_estimation(cfg)
                 frac = hist.indeterminate / hist.samples

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from stabindex import cli
-from stabindex.montecarlo import IndexHistogram, ProbabilityVector
 from stabindex.verify import CheckResult
 
 
@@ -60,14 +59,13 @@ class TestEstimate:
         )
         assert code == 0
         payload = json.loads(out)
-        hist = IndexHistogram.from_json(json.dumps(payload["histogram"]))
-        assert hist.samples == 5000
-        freq = ProbabilityVector.from_json(json.dumps(payload["frequencies"]))
-        assert abs(freq.values.sum() - 1.0) < 1e-9
-        refined = ProbabilityVector.from_json(json.dumps(payload["refined"]))
-        assert refined.source == "refined"
-        exact = ProbabilityVector.from_json(json.dumps(payload["exact"]))
-        assert np.isnan(exact.values[0])  # no closed form at order 4
+        hist = payload["histogram"]
+        assert hist["M"] == 5000
+        assert sum(hist["counts"]) + hist["indeterminate"] == 5000
+        assert abs(sum(payload["frequencies"]["values"]) - 1.0) < 1e-9
+        assert payload["refined"]["source"] == "refined"
+        assert payload["exact"]["source"] == "exact"
+        assert payload["exact"]["values"][0] is None  # no closed form at order 4
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -205,6 +203,11 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and flag in err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--seed" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tol_is_usage_error(self, capsys, tol):
         code, out, err = run_cli(capsys, "verify", "--tol", tol)
@@ -236,6 +239,25 @@ class TestVerify:
 
         bad = check_indeterminate_fraction(samples=5_000, tol=1e-2)
         assert not bad.passed
+
+    def test_shifted_scan_fails_oracle(self, monkeypatch):
+        # negative control: the oracle check must catch a sign scan that
+        # miscounts some rows
+        from stabindex import verify
+
+        real = verify.batch_indices
+
+        def shifted(family, params, method, tol):
+            codes = real(family, params, method, tol)
+            if method == "rh":
+                codes[::7] += codes[::7] >= 0  # every 7th determinate count off by one
+            return codes
+
+        monkeypatch.setattr(verify, "batch_indices", shifted)
+        for region in ("left-half-plane", "disk"):
+            bad = verify.check_oracle(region, per_degree=200)
+            assert not bad.passed
+            assert int(bad.detail.split()[0]) > 0
 
 
 def test_python_m_stabindex_runs_the_cli(capsys):

@@ -220,12 +220,3 @@ class TestScalarFormulas:
         assert even_parity_sum(ModelFamily("disc-sys", 4)) is None
         got = even_parity_sum(ModelFamily("disc-eq", 2))
         assert got == pytest.approx(2 * math.atan(math.sqrt(2.0)) / math.pi, abs=1e-15)
-
-    def test_json_shape(self):
-        import json
-
-        cs = build_constraints(ModelFamily("cont-sys", 7))
-        obj = json.loads(cs.to_json())
-        assert obj["family"] == "cont-sys" and obj["n"] == 7
-        assert obj["free"] == [0, 1, 2]
-        assert len(obj["design"]) == 8 and len(obj["offset"]) == 8

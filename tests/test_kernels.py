@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stabindex import kernels
-from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT, mobius_weights
+from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 from stabindex.models import FAMILY_KINDS, ModelFamily
 
 TOL = 1e-12
@@ -20,7 +20,7 @@ NORMAL_ROWS = {"cont-eq": 500, "disc-eq": 500, "cont-sys": 250, "disc-sys": 250}
 INTEGER_ROWS = 150
 
 
-def _pencil(row, coeffs, weights):
+def _pencil(row, coeffs):
     n = coeffs.shape[0] - 1
     b = abs(row[0])
     f = 1.0
@@ -28,7 +28,7 @@ def _pencil(row, coeffs, weights):
     for t in range(n, -1, -1):
         scaled[t] = coeffs[n - t] * f
         f *= b
-    outside = kernels.jury_scan(scaled, weights, TOL)
+    outside = kernels.jury_scan(scaled, TOL)
     return outside if outside < 0 else n - outside
 
 
@@ -38,11 +38,10 @@ def _matrices(kind, n, params):
 
 def _scalar_codes(kind, n, params):
     """The codes the scalar kernels give row by row."""
-    weights = mobius_weights(n)
     if kind == "cont-eq":
         codes = [kernels.routh_scan(np.ascontiguousarray(row[::-1]), TOL) for row in params]
     elif kind == "disc-eq":
-        codes = [kernels.jury_scan(np.ascontiguousarray(row[::-1]), weights, TOL) for row in params]
+        codes = [kernels.jury_scan(np.ascontiguousarray(row[::-1]), TOL) for row in params]
     else:
         polys = [kernels.char_poly(m) for m in _matrices(kind, n, params)]
         # the batch char_poly must match the scalar one bit for bit
@@ -53,19 +52,18 @@ def _scalar_codes(kind, n, params):
         if kind == "cont-sys":
             codes = [kernels.routh_scan(p, TOL) for p in polys]
         else:
-            codes = [_pencil(row, p, weights) for row, p in zip(params, polys)]
+            codes = [_pencil(row, p) for row, p in zip(params, polys)]
     return np.array(codes, dtype=np.int64)
 
 
 def _batch_codes(kind, n, params):
-    weights = mobius_weights(n)
     if kind == "cont-eq":
         return kernels.batch_poly_halfplane(params, TOL)
     if kind == "disc-eq":
-        return kernels.batch_poly_disk(params, weights, TOL)
+        return kernels.batch_poly_disk(params, TOL)
     if kind == "cont-sys":
         return kernels.batch_matrix_halfplane(_matrices(kind, n, params), TOL)
-    return kernels.batch_pencil_disk(params, n, weights, TOL)
+    return kernels.batch_pencil_disk(params, n, TOL)
 
 
 def _draws(kind, n, rows, integer):
@@ -131,7 +129,6 @@ def _layouts(a):
 
 def _layout_cases(kind, n, params):
     """(name, kernel, input) for each kernel that reads this family's rows."""
-    weights = mobius_weights(n)
     if kind == "cont-eq":
         return [
             ("batch_poly_halfplane", lambda a: kernels.batch_poly_halfplane(a, TOL), params),
@@ -139,13 +136,13 @@ def _layout_cases(kind, n, params):
         ]
     if kind == "disc-eq":
         return [
-            ("batch_poly_disk", lambda a: kernels.batch_poly_disk(a, weights, TOL), params),
-            ("_jury_columns", lambda a: kernels._jury_columns(a, weights, TOL), params.T[::-1]),
+            ("batch_poly_disk", lambda a: kernels.batch_poly_disk(a, TOL), params),
+            ("_jury_columns", lambda a: kernels._jury_columns(a, TOL), params.T[::-1]),
         ]
     if kind == "cont-sys":
         mats = _matrices(kind, n, params)
         return [("batch_matrix_halfplane", lambda a: kernels.batch_matrix_halfplane(a, TOL), mats)]
-    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, n, weights, TOL), params)]
+    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, n, TOL), params)]
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -200,4 +197,4 @@ def test_non_finite_rows_match_scalar():
 def test_empty_chunk():
     params = np.empty((0, 4))
     assert kernels.batch_poly_halfplane(params, TOL).shape == (0,)
-    assert kernels.batch_poly_disk(params, mobius_weights(3), TOL).shape == (0,)
+    assert kernels.batch_poly_disk(params, TOL).shape == (0,)

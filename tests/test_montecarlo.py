@@ -1,5 +1,5 @@
-"""Estimation runs: determinism, sharding, frequency math, serialization,
-and the indeterminate-fraction abort."""
+"""Estimation runs: determinism, sharding, frequency math and the
+indeterminate-fraction abort."""
 
 import math
 
@@ -50,20 +50,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             IndexHistogram(ModelFamily("cont-eq", 1), [3, 3], 0, 10, 0)
 
-    def test_json_round_trip(self):
-        hist = IndexHistogram(ModelFamily("disc-eq", 2), [3, 4, 5], 1, 13, 99)
-        back = IndexHistogram.from_json(hist.to_json())
-        assert back.family == hist.family
-        assert np.array_equal(back.counts, hist.counts)
-        assert back.indeterminate == 1 and back.samples == 13 and back.seed == 99
-
-    def test_probability_vector_round_trip(self):
-        pv = ProbabilityVector([0.25, math.nan, 0.25], [0.0, math.nan, 0.0], "exact")
-        back = ProbabilityVector.from_json(pv.to_json())
-        assert back.source == "exact"
-        assert np.array_equal(back.known, [True, False, True])
-        assert back.values[0] == 0.25
-
     def test_probability_vector_mass_check(self):
         with pytest.raises(ValueError):
             ProbabilityVector([0.5, 0.6], [0.0, 0.0], "raw")
@@ -73,7 +59,7 @@ class TestMerge:
     def test_zero_identity(self):
         fam = ModelFamily("cont-eq", 2)
         hist = IndexHistogram(fam, [1, 2, 3], 0, 6, 5)
-        out = merge(hist, IndexHistogram.zero(fam, seed=5))
+        out = merge(hist, IndexHistogram(fam, [0, 0, 0], 0, 0, 5))
         assert np.array_equal(out.counts, hist.counts)
         assert out.samples == 6 and out.seed == 5
 
@@ -110,12 +96,6 @@ class TestDeterminism:
             acc = merge(acc, part)
         assert np.array_equal(acc.counts, whole.counts)
         assert acc.samples == whole.samples == 10_000
-
-    def test_worker_count_is_irrelevant(self):
-        cfg = EstimationConfig(ModelFamily("cont-eq", 3), 8_000, 17, shards=4)
-        serial = run_estimation(cfg, max_workers=1)
-        parallel = run_estimation(cfg, max_workers=4)
-        assert np.array_equal(serial.counts, parallel.counts)
 
 
 class TestAgainstKnownValues:
