@@ -280,6 +280,15 @@ def char_poly(a):
 # views), and columns are selected with np.take / np.compress on axis 1:
 # advanced or boolean indexing on axis 1 returns Fortran order, on which
 # each lockstep step strides across the samples at several times the cost.
+#
+# The char-poly recurrence holds four (n, n, count) arrays, 4.7 MB each for
+# a 16384-row chunk at n = 6.  It runs over column blocks instead, sized so
+# that one (n, n, block) array takes _BLOCK_BYTES (1820 rows at n = 6, 7281
+# at n = 3); each block's coefficients go into the chunk's (n+1, count)
+# result.  Blocking only splits the sample axis, so every sample's float
+# operations are unchanged.
+
+_BLOCK_BYTES = 1 << 19
 
 
 def _abs_max(cols):
@@ -362,6 +371,21 @@ def _jury_columns(coeffs, tol):
 def _char_poly_columns(mats):
     """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
 
+    Runs _char_poly_block over column blocks of the stack.
+    """
+    count, n, _ = mats.shape
+    coeffs = np.empty((n + 1, count))
+    block = max(1, _BLOCK_BYTES // (8 * n * n))
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        _char_poly_block(mats[start:stop], coeffs[:, start:stop])
+    return coeffs
+
+
+def _char_poly_block(mats, coeffs):
+    """Write char_poly of each matrix in a (count, n, n) stack into the
+    (n+1, count) array ``coeffs``.
+
     Products accumulate over l in ascending order and traces over the
     diagonal in ascending order, both from zero, as in char_poly; matmul,
     einsum and trace would reorder or fuse those additions.  The last
@@ -369,7 +393,6 @@ def _char_poly_columns(mats):
     """
     count, n, _ = mats.shape
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    coeffs = np.zeros((n + 1, count))
     coeffs[n] = 1.0
     m = np.zeros_like(a)
     for i in range(n):
@@ -390,7 +413,6 @@ def _char_poly_columns(mats):
     for l in range(n):
         diag += a[:, l] * m[l]
     coeffs[0] = -_ascending_sum(diag) / n
-    return coeffs
 
 
 def _ascending_sum(terms):

@@ -16,12 +16,16 @@ from .polyroot import DEFAULT_TOL, RootCount, validate_tol
 FAMILY_KINDS = ("cont-sys", "cont-eq", "disc-sys", "disc-eq")
 METHODS = ("rh", "eigen", "auto")
 
-# "auto" computes the index from the characteristic polynomial for small n
-# and switches to direct eigenvalues from this order on, where the trace
-# recurrence's coefficients grow ill-conditioned.  The switch is for
-# conditioning, not speed: the batch sign-scan kernels outrun batched
-# eigenvalues at every n from 2 to 8, for all four families.
-AUTO_EIGEN_MIN_N = 5
+# "auto" takes the sign-scan route (characteristic polynomial + Routh scan)
+# below this order and batched eigenvalues from it on.  The switch is for
+# speed and certification, not conditioning.  Through n = 10, the orders
+# verify's oracle checks for the matrix families, the scan is the faster
+# route for every family and agrees with eigenvalues on every row both
+# certify.  Its O(n^4) trace recurrence loses its lead over LAPACK for the
+# matrix families by n = 12, and at high order the scan stops certifying:
+# it calls rows indeterminate rather than miscounting them, but for
+# cont-sys at n = 22 that already exceeds the estimation's 1e-3 budget.
+AUTO_EIGEN_MIN_N = 11
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,10 @@ def resolve_method(family: ModelFamily, method: str) -> str:
 def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det(xI - m), ascending coefficients.
 
-    Trace-recurrence evaluation; exactness degrades for large n, which is
-    why "auto" sampling abandons this route beyond small dimensions.
+    Trace-recurrence evaluation in O(n^4) flops.  By n = 12 batched
+    eigenvalues are as fast, and at high n the coefficients lose enough
+    accuracy that the sign scan stops certifying rows; that is why "auto"
+    leaves this route from AUTO_EIGEN_MIN_N on.
     """
     a = np.ascontiguousarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:

@@ -150,8 +150,8 @@ def eigen_region_count(
     if region == "left-half-plane":
         codes = kernels.eig_halfplane_codes(a[None, :, :], tol)
     elif region == "disk":
-        if radius <= 0:
-            raise ValueError("disk radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"disk radius must be a finite positive number, got {radius}")
         codes = kernels.eig_disk_codes(a[None, :, :], radius, tol)
     else:
         raise ValueError(f"unknown region {region!r}")

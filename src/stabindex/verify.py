@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .constraints import build_constraints, exact_probabilities
-from .models import FAMILY_KINDS, ModelFamily, batch_indices
+from .models import AUTO_EIGEN_MIN_N, FAMILY_KINDS, ModelFamily, batch_indices
 from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies, run_estimation
 from .polyroot import DEFAULT_TOL
 
@@ -22,8 +22,9 @@ from .polyroot import DEFAULT_TOL
 _ORACLE_KEY = 1001
 _QUADRANT_KEY = 1002
 
-# Highest order each sweep covers; _MAX_N is shared by the relation,
-# catalog and indeterminate-budget checks.
+# Highest order each sweep covers (_ORACLE_MAX_DEGREE for the equation
+# families' oracle); _MAX_N is shared by the relation, catalog and
+# indeterminate-budget checks.
 _ORACLE_MAX_DEGREE = 6
 _MEAN_MAX_N = 6
 _MAX_N = 10
@@ -45,38 +46,42 @@ def _oracle_rng(seed, offset):
     )
 
 
-# Oracle region -> (RNG substream offset, name used in the check's title,
-# the equation family whose index counts roots in that region).
-_ORACLE_REGIONS = {
-    "left-half-plane": (0, "half-plane", "cont-eq"),
-    "disk": (1, "disk", "disc-eq"),
+# Oracle family -> (RNG substream offset, what its index counts, highest
+# order compared).  The matrix families cover every order "auto" sends to
+# the sign scan.
+_ORACLE_CASES = {
+    "cont-eq": (0, "half-plane count", _ORACLE_MAX_DEGREE),
+    "disc-eq": (1, "disk count", _ORACLE_MAX_DEGREE),
+    "cont-sys": (2, "cont-sys half-plane count", AUTO_EIGEN_MIN_N - 1),
+    "disc-sys": (3, "disc-sys pencil disk count", AUTO_EIGEN_MIN_N - 1),
 }
 
 
 def check_oracle(
-    region: str,
+    kind: str,
     per_degree: int = 10_000,
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Sign-scan count vs companion-matrix eigenvalue count on random
-    polynomials, for region "left-half-plane" (Routh scan) or "disk"
-    (conformal map + Routh scan); every mutually determinate pair must
+    """Sign-scan count vs eigenvalue count on random draws of family
+    ``kind``, per_degree draws at each order: the Routh scan, the conformal
+    map + Routh scan, or the char-poly route against eigenvalues of the
+    companion matrix or of A itself.  Every mutually determinate pair must
     agree."""
-    offset, label, kind = _ORACLE_REGIONS[region]
+    offset, label, max_n = _ORACLE_CASES[kind]
     rng = _oracle_rng(seed, offset)
     mismatched = 0
     compared = 0
-    for n in range(1, _ORACLE_MAX_DEGREE + 1):
+    for n in range(1, max_n + 1):
         family = ModelFamily(kind, n)
-        params = rng.standard_normal((per_degree, n + 1))
+        params = rng.standard_normal((per_degree, family.param_count))
         scan = batch_indices(family, params, "rh", tol)
         eig = batch_indices(family, params, "eigen", tol)
         both = (scan >= 0) & (eig >= 0)
         compared += int(both.sum())
         mismatched += int((scan[both] != eig[both]).sum())
     return CheckResult(
-        f"{label} count vs eigenvalue oracle",
+        f"{label} vs eigenvalue oracle",
         mismatched == 0,
         f"{mismatched} mismatches over {compared} mutually determinate samples",
     )
@@ -252,8 +257,10 @@ def run_all(
 ) -> list:
     """Run every check; statistical bounds adapt to the sample count."""
     return [
-        check_oracle("left-half-plane", oracle_polys, seed=seed, tol=tol),
-        check_oracle("disk", oracle_polys, seed=seed, tol=tol),
+        check_oracle("cont-eq", oracle_polys, seed=seed, tol=tol),
+        check_oracle("disc-eq", oracle_polys, seed=seed, tol=tol),
+        check_oracle("cont-sys", oracle_polys, seed=seed, tol=tol),
+        check_oracle("disc-sys", oracle_polys, seed=seed, tol=tol),
         check_constraint_closure(),
         check_exact_catalog(),
         check_quadrature(),

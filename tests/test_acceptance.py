@@ -107,8 +107,8 @@ def test_criterion_4_discrete_system_regression():
 
 
 def test_criterion_5_oracle_equivalence():
-    half = verify.check_oracle("left-half-plane", per_degree=10_000, seed=SEED)
-    disk = verify.check_oracle("disk", per_degree=10_000, seed=SEED)
+    half = verify.check_oracle("cont-eq", per_degree=10_000, seed=SEED)
+    disk = verify.check_oracle("disc-eq", per_degree=10_000, seed=SEED)
     ok = half.passed and disk.passed
     _criterion(
         "criterion 5 (count vs eigenvalue oracle, 10^4 polys per degree 1..6)",

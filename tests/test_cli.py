@@ -51,6 +51,15 @@ class TestEstimate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_high_order_takes_eigen_route(self, capsys):
+        # the sign scan leaves too many cont-sys rows indeterminate at n = 24
+        # for the abort budget; "auto" must take the eigenvalue route there
+        code, _, err = run_cli(
+            capsys,
+            "estimate", "--family", "cont-sys", "--n", "24", "--samples", "2000",
+        )
+        assert code == 0, err
+
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -193,8 +202,8 @@ class TestVerify:
             capsys, "verify", "--samples", "5000", "--oracle-polys", "500"
         )
         assert code == 0
-        assert out.count("[PASS]") == 9
-        assert "9/9 checks passed" in out
+        assert out.count("[PASS]") == 11
+        assert "11/11 checks passed" in out
 
     @pytest.mark.parametrize("flag", ["--samples", "--oracle-polys"])
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -254,9 +263,9 @@ class TestVerify:
             return codes
 
         monkeypatch.setattr(verify, "batch_indices", shifted)
-        for region in ("left-half-plane", "disk"):
-            bad = verify.check_oracle(region, per_degree=200)
-            assert not bad.passed
+        for kind in ("cont-eq", "disc-eq", "cont-sys", "disc-sys"):
+            bad = verify.check_oracle(kind, per_degree=200)
+            assert not bad.passed, kind
             assert int(bad.detail.split()[0]) > 0
 
 

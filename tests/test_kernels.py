@@ -5,12 +5,15 @@ must reproduce them bit for bit: every code, and every char_poly
 coefficient, equals what the scalar kernel gives for that row alone.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stabindex import kernels
 from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 from stabindex.models import FAMILY_KINDS, ModelFamily
+from stabindex.montecarlo import CHUNK
 
 TOL = 1e-12
 DEGREES = range(1, 9)
@@ -171,6 +174,64 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
                     )
     assert {ZERO_PIVOT, BOUNDARY_ROOT} <= seen
     assert counted.fallbacks, "no row reached the all-zero-row fallback"
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_char_poly_blocks_match_slices(n, monkeypatch):
+    """A stack of two char-poly blocks plus a remainder gives, bit for bit,
+    what the kernels give on slices that each fit in one block, and the
+    scalar char_poly on the rows either side of every block edge."""
+    sizes = []
+    block_kernel = kernels._char_poly_block
+
+    def recording_block(mats, coeffs):
+        sizes.append(mats.shape[0])
+        block_kernel(mats, coeffs)
+
+    monkeypatch.setattr(kernels, "_char_poly_block", recording_block)
+    block = kernels._BLOCK_BYTES // (8 * n * n)
+    rows = 2 * block + 37
+    params = _draws("disc-sys", n, rows, integer=False)
+    mats = _matrices("disc-sys", n, params)
+    polys = kernels._char_poly_columns(mats)
+    assert sizes == [block, block, 37]
+    edges = np.array([block, 2 * block])
+
+    cuts = np.arange(0, rows, 1 + block // 3)[1:]
+    assert not set(cuts) & set(edges)
+    sliced = [kernels._char_poly_columns(m) for m in np.split(mats, cuts)]
+    np.testing.assert_array_equal(
+        polys.view(np.int64), np.concatenate(sliced, axis=1).view(np.int64)
+    )
+    for row in np.concatenate([edges - 1, edges]):
+        np.testing.assert_array_equal(
+            polys[:, row].view(np.int64), kernels.char_poly(mats[row]).view(np.int64)
+        )
+
+    def halfplane(p):
+        return kernels.batch_matrix_halfplane(_matrices("disc-sys", n, p), TOL)
+
+    def pencil(p):
+        return kernels.batch_pencil_disk(p, n, TOL)
+
+    for codes in (halfplane, pencil):
+        by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
+        np.testing.assert_array_equal(codes(params), by_slice, err_msg=codes.__name__)
+
+
+@pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
+def test_char_poly_working_set_is_blocked(kind):
+    """A whole n = 6 chunk allocates at most twice its input's bytes: the
+    char-poly recurrence's (n, n, count) arrays never span the chunk."""
+    n = 6
+    params = _draws(kind, n, CHUNK, integer=False)
+    tracemalloc.start()
+    try:
+        _batch_codes(kind, n, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
 
 
 def test_known_all_zero_rows():

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from stabindex.models import (
+    FAMILY_KINDS,
     ModelFamily,
     batch_indices,
     char_poly,
@@ -60,9 +61,17 @@ class TestModelFamily:
             ModelFamily("cont-sys", 0)
 
     def test_auto_method_switch(self):
-        assert resolve_method(ModelFamily("cont-sys", 4), "auto") == "rh"
-        assert resolve_method(ModelFamily("cont-sys", 5), "auto") == "eigen"
-        assert resolve_method(ModelFamily("cont-sys", 9), "rh") == "rh"
+        # the sign scan through n = 10, the orders verify's oracle checks
+        # for the matrix families; eigenvalues from n = 11, as LAPACK catches
+        # up with the O(n^4) trace recurrence and, at high order, the scan
+        # leaves too many rows indeterminate
+        for kind in FAMILY_KINDS:
+            for n in range(1, 11):
+                assert resolve_method(ModelFamily(kind, n), "auto") == "rh", (kind, n)
+            for n in (11, 24):
+                assert resolve_method(ModelFamily(kind, n), "auto") == "eigen", (kind, n)
+            assert resolve_method(ModelFamily(kind, 24), "rh") == "rh"
+            assert resolve_method(ModelFamily(kind, 3), "eigen") == "eigen"
 
 
 class TestCharPoly:

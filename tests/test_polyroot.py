@@ -198,6 +198,13 @@ class TestEigenRegionCount:
         got = eigen_region_count([[0, 1], [1, 0]], "disk", radius=1.0)
         assert got.reason == "boundary-root"
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_radius(self, radius):
+        # unchecked, NaN would count no eigenvalue inside and inf would call
+        # every one a boundary root
+        with pytest.raises(ValueError, match="finite positive"):
+            eigen_region_count(0.5 * np.eye(2), "disk", radius=radius)
+
     def test_rejects_bad_region(self):
         with pytest.raises(ValueError):
             eigen_region_count(np.eye(2), "upper-half-plane")
