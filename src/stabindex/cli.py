@@ -98,6 +98,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _vector_json(vec) -> dict:
+    return {
+        "source": vec.source,
+        "values": [float(v) if math.isfinite(v) else None for v in vec.values],
+        "stderr": [float(s) if math.isfinite(s) else None for s in vec.stderr],
+    }
+
+
 def _render_estimate(args, cfg, hist, freq, refined, exact, relations) -> str:
     n = cfg.family.n
     if args.format == "json":
@@ -111,10 +119,17 @@ def _render_estimate(args, cfg, hist, freq, refined, exact, relations) -> str:
                 "method": cfg.method,
                 "tol": cfg.tol,
             },
-            "histogram": json.loads(hist.to_json()),
-            "frequencies": json.loads(freq.to_json()),
-            "refined": json.loads(refined.to_json()) if refined is not None else None,
-            "exact": json.loads(exact.to_json()),
+            "histogram": {
+                "family": hist.family.kind,
+                "n": hist.family.n,
+                "M": hist.samples,
+                "seed": hist.seed,
+                "counts": [int(c) for c in hist.counts],
+                "indeterminate": hist.indeterminate,
+            },
+            "frequencies": _vector_json(freq),
+            "refined": _vector_json(refined) if refined is not None else None,
+            "exact": _vector_json(exact),
             "relations": relations,
         }
         return json.dumps(payload, indent=2) + "\n"

@@ -1,12 +1,11 @@
 """Deterministic, shardable Monte Carlo estimation of index distributions.
 
 Each shard owns the substream ``SeedSequence(seed, spawn_key=(shard,))`` and
-draws its samples in fixed-size chunks, so the resulting histogram depends
-only on (seed, shards, config) and never on worker count, execution order
-or chunk size.
+draws its samples in fixed-size chunks through one loop, so the histogram
+depends only on (seed, shards, config), never on worker count, execution
+order or chunk size, and a shorter run is a prefix of a longer one.
 """
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -79,18 +78,6 @@ class IndexHistogram:
         if int(self.counts.sum()) + self.indeterminate != self.samples:
             raise ValueError("counts + indeterminate must equal samples")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family.kind,
-                "n": self.family.n,
-                "M": self.samples,
-                "seed": self.seed,
-                "counts": [int(c) for c in self.counts],
-                "indeterminate": int(self.indeterminate),
-            }
-        )
-
 
 @dataclass
 class ProbabilityVector:
@@ -112,6 +99,8 @@ class ProbabilityVector:
         if self.source not in ("raw", "refined", "exact"):
             raise ValueError(f"unknown source {self.source!r}")
         if self.source != "exact":
+            if not np.isfinite(self.values).all():
+                raise ValueError(f"{self.source} probabilities must be finite")
             total = float(self.values.sum())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"probabilities sum to {total}, expected 1")
@@ -120,47 +109,38 @@ class ProbabilityVector:
     def known(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    def to_json(self) -> str:
-        def _clean(x):
-            return float(x) if math.isfinite(x) else None
-
-        return json.dumps(
-            {
-                "source": self.source,
-                "values": [_clean(v) for v in self.values],
-                "stderr": [_clean(s) for s in self.stderr],
-            }
-        )
-
 
 def shard_stream(seed: int, shard: int) -> np.random.Generator:
     """Generator for one shard; streams are disjoint across spawn keys."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
 
 
-def _shard_samples(total: int, shards: int, shard: int) -> int:
-    base, rem = divmod(total, shards)
-    return base + (1 if shard < rem else 0)
+def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
+    """Yield one shard's histogram after its first ``size`` samples for each
+    size in the ascending ``sizes``, in one pass.  Normal variates are drawn
+    row-major whatever the chunk split, and a row's code does not depend on
+    its chunk, so each is bit-identical to a separate run of that size."""
+    family = cfg.family
+    rng = shard_stream(cfg.seed, shard)
+    counts = np.zeros(family.n + 1, dtype=np.int64)
+    indet = 0
+    done = 0
+    for size in sizes:
+        while done < size:
+            take = min(CHUNK, size - done)
+            params = rng.standard_normal((take, family.param_count))
+            codes = batch_indices(family, params, cfg.method, cfg.tol)
+            counts += np.bincount(codes[codes >= 0], minlength=family.n + 1)
+            indet += int((codes < 0).sum())
+            done += take
+        yield IndexHistogram(family, counts.copy(), indet, size, cfg.seed)
 
 
 def run_shard(cfg: EstimationConfig, shard: int) -> IndexHistogram:
     """Histogram of one shard's substream (used by run_estimation and by
     tests that reassemble sharded runs by hand)."""
-    family = cfg.family
-    rng = shard_stream(cfg.seed, shard)
-    todo = _shard_samples(cfg.samples, cfg.shards, shard)
-    width = family.param_count
-    counts = np.zeros(family.n + 1, dtype=np.int64)
-    indet = 0
-    done = 0
-    while done < todo:
-        take = min(CHUNK, todo - done)
-        params = rng.standard_normal((take, width))
-        codes = batch_indices(family, params, cfg.method, cfg.tol)
-        counts += np.bincount(codes[codes >= 0], minlength=family.n + 1)
-        indet += int((codes < 0).sum())
-        done += take
-    return IndexHistogram(family, counts, indet, todo, cfg.seed)
+    base, rem = divmod(cfg.samples, cfg.shards)
+    return next(_prefix_histograms(cfg, shard, [base + (1 if shard < rem else 0)]))
 
 
 def merge(a: IndexHistogram, b: IndexHistogram) -> IndexHistogram:
@@ -193,10 +173,14 @@ def run_estimation(cfg: EstimationConfig) -> IndexHistogram:
         total = parts[0]
         for part in parts[1:]:
             total = merge(total, part)
-    fraction = total.indeterminate / total.samples
+    return _within_budget(total)
+
+
+def _within_budget(hist: IndexHistogram) -> IndexHistogram:
+    fraction = hist.indeterminate / hist.samples
     if fraction > MAX_INDETERMINATE_FRACTION:
-        raise EstimationAbort(total, fraction)
-    return total
+        raise EstimationAbort(hist, fraction)
+    return hist
 
 
 def frequencies(hist: IndexHistogram) -> ProbabilityVector:
@@ -233,10 +217,10 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Estimate p_k at each grid size and tabulate the absolute error.
 
-    Grid points reuse the same seed, so the runs are nested prefixes of one
-    stream.  A log-log regression of error against sample size gives the
-    decay slope (absent unless the nonzero errors span at least two distinct
-    sample sizes).  ``exact`` is stored as a Python float, so the estimates
+    Grid points are prefixes of one pass of max(m_grid) samples, each held
+    to the indeterminate budget in grid order.  A log-log regression of
+    error against sample size gives the decay slope (absent unless the
+    nonzero errors span at least two distinct sample sizes).  ``exact`` is stored as a Python float, so the estimates
     and errors are plain floats too.
     """
     exact = float(exact)
@@ -244,13 +228,18 @@ def convergence_study(
         raise ValueError("an exact value is required for a convergence study")
     if not 0 <= k <= family.n:
         raise ValueError("index k out of range")
+    grid = [int(m) for m in m_grid]
+    if min(grid) < 1:
+        raise ValueError("samples must be >= 1")
+    cfg = EstimationConfig(
+        family=family, samples=max(grid), seed=seed, method=method, tol=tol
+    )
+    sizes = sorted(set(grid))
+    hists = dict(zip(sizes, _prefix_histograms(cfg, 0, sizes)))
     result = ConvergenceResult(family, k, exact)
-    for m in m_grid:
-        cfg = EstimationConfig(
-            family=family, samples=int(m), seed=seed, method=method, tol=tol
-        )
-        est = float(frequencies(run_estimation(cfg)).values[k])
-        result.rows.append((int(m), est, abs(est - exact)))
+    for m in grid:
+        est = float(frequencies(_within_budget(hists[m])).values[k])
+        result.rows.append((m, est, abs(est - exact)))
     pts = [(m, e) for m, _, e in result.rows if e > 0.0]
     if len({m for m, _ in pts}) >= 2:
         x = np.log10([m for m, _ in pts])

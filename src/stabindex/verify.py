@@ -22,10 +22,8 @@ from .polyroot import DEFAULT_TOL
 _ORACLE_KEY = 1001
 _QUADRANT_KEY = 1002
 
-# Highest order each sweep covers (_ORACLE_MAX_DEGREE for the equation
-# families' oracle); _MAX_N is shared by the relation, catalog and
-# indeterminate-budget checks.
-_ORACLE_MAX_DEGREE = 6
+# Highest order each sweep covers; _MAX_N is shared by the relation,
+# catalog and indeterminate-budget checks.
 _MEAN_MAX_N = 6
 _MAX_N = 10
 
@@ -40,20 +38,13 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _oracle_rng(seed, offset):
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_ORACLE_KEY + offset,))
-    )
-
-
-# Oracle family -> (RNG substream offset, what its index counts, highest
-# order compared).  The matrix families cover every order "auto" sends to
-# the sign scan.
+# Oracle family -> (RNG substream offset, what its index counts).  Each
+# family is compared at every order "auto" sends to the sign scan.
 _ORACLE_CASES = {
-    "cont-eq": (0, "half-plane count", _ORACLE_MAX_DEGREE),
-    "disc-eq": (1, "disk count", _ORACLE_MAX_DEGREE),
-    "cont-sys": (2, "cont-sys half-plane count", AUTO_EIGEN_MIN_N - 1),
-    "disc-sys": (3, "disc-sys pencil disk count", AUTO_EIGEN_MIN_N - 1),
+    "cont-eq": (0, "half-plane count"),
+    "disc-eq": (1, "disk count"),
+    "cont-sys": (2, "cont-sys half-plane count"),
+    "disc-sys": (3, "disc-sys pencil disk count"),
 }
 
 
@@ -68,11 +59,13 @@ def check_oracle(
     map + Routh scan, or the char-poly route against eigenvalues of the
     companion matrix or of A itself.  Every mutually determinate pair must
     agree."""
-    offset, label, max_n = _ORACLE_CASES[kind]
-    rng = _oracle_rng(seed, offset)
+    offset, label = _ORACLE_CASES[kind]
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_ORACLE_KEY + offset,))
+    )
     mismatched = 0
     compared = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, AUTO_EIGEN_MIN_N):
         family = ModelFamily(kind, n)
         params = rng.standard_normal((per_degree, family.param_count))
         scan = batch_indices(family, params, "rh", tol)

@@ -239,6 +239,11 @@ class TestVerify:
 
         bad = check_quadrature(lambda a, b: 0.5 / a * np.arctan(b / a))
         assert not bad.passed
+        # a closed form off by one part in 10^6 (7e-7 error) must fail the 1e-8 bound too
+        near = check_quadrature(
+            lambda a, b: (1 + 1e-6) * np.arctan(b / a) / (a * np.sqrt(np.pi))
+        )
+        assert not near.passed
         good = check_quadrature()
         assert good.passed
 

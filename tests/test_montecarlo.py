@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stabindex import montecarlo
 from stabindex.models import ModelFamily
 from stabindex.montecarlo import (
     EstimationAbort,
@@ -18,6 +19,7 @@ from stabindex.montecarlo import (
     run_estimation,
     run_shard,
 )
+from stabindex.polyroot import DEFAULT_TOL
 
 DISC_EQ_2_P2 = math.atan(math.sqrt(2.0)) / math.pi  # ~0.304087
 
@@ -53,6 +55,15 @@ class TestHistogram:
     def test_probability_vector_mass_check(self):
         with pytest.raises(ValueError):
             ProbabilityVector([0.5, 0.6], [0.0, 0.0], "raw")
+
+    @pytest.mark.parametrize("source", ["raw", "refined"])
+    @pytest.mark.parametrize(
+        "values", [[math.nan, 1.0], [math.inf, -math.inf]], ids=["nan", "inf-inf"]
+    )
+    def test_probability_vector_rejects_non_finite(self, source, values):
+        # a NaN total passes `abs(total - 1) > tol`; inf - inf would warn
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector(values, [0.0, 0.0], source)
 
 
 class TestMerge:
@@ -157,6 +168,56 @@ class TestConvergence:
         )
         assert type(res.exact) is float
         assert all(type(v) is float for _, est, err in res.rows for v in (est, err))
+
+    @staticmethod
+    def _per_point(family, k, exact, grid, tol):
+        # the reference: a separate run_estimation from sample 0 per point
+        rows = []
+        for m in grid:
+            cfg = EstimationConfig(family, m, 20231, tol=tol)
+            est = float(frequencies(run_estimation(cfg)).values[k])
+            rows.append((m, est, abs(est - exact)))
+        return rows
+
+    def test_one_pass_draws_max_grid(self, monkeypatch):
+        drawn = []
+        real = montecarlo.batch_indices
+
+        def counting(family, params, method, tol):
+            drawn.append(params.shape[0])
+            return real(family, params, method, tol)
+
+        monkeypatch.setattr(montecarlo, "batch_indices", counting)
+        convergence_study(
+            ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 1_000, 10_000], seed=20231
+        )
+        assert sum(drawn) == 10_000
+
+    @pytest.mark.parametrize("kind, n, k", [("disc-eq", 2, 2), ("cont-sys", 3, 0)])
+    def test_rows_equal_separate_runs(self, kind, n, k):
+        # unsorted, repeated and chunk-crossing sizes (20000 > CHUNK)
+        family = ModelFamily(kind, n)
+        grid = [5_000, 100, 100, 20_000, 3]
+        res = convergence_study(family, k, 0.25, grid, seed=20231)
+        assert res.rows == self._per_point(family, k, 0.25, grid, DEFAULT_TOL)
+
+    def test_abort_at_same_grid_point(self):
+        # 1000 is over budget too, but 5000 comes first in grid order
+        family = ModelFamily("disc-eq", 2)
+        grid = [300, 3, 5_000, 1_000]
+        with pytest.raises(EstimationAbort) as ref:
+            self._per_point(family, 2, DISC_EQ_2_P2, grid, 1e-3)
+        with pytest.raises(EstimationAbort) as got:
+            convergence_study(family, 2, DISC_EQ_2_P2, grid, seed=20231, tol=1e-3)
+        assert got.value.histogram.samples == ref.value.histogram.samples == 5_000
+        assert got.value.fraction == ref.value.fraction
+        assert np.array_equal(got.value.histogram.counts, ref.value.histogram.counts)
+
+    def test_rejects_non_positive_size(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            convergence_study(
+                ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 0], seed=20231
+            )
 
     def test_requires_finite_exact(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,12 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares_refine(cs, np.array([0.5, 0.5]))
 
+    def test_nan_input_not_marked_refined(self):
+        # a NaN frequency would otherwise come back as an all-NaN "refined" vector
+        cs = build_constraints(ModelFamily("cont-eq", 4))
+        with pytest.raises(ValueError, match="finite"):
+            least_squares_refine(cs, [math.nan, 0.25, 0.5, 0.25, 0.0])
+
 
 class TestNonnegRepair:
     def test_reproduces_exact_repair_n8(self):
