@@ -254,6 +254,36 @@ class TestVerify:
         bad = check_indeterminate_fraction(samples=5_000, tol=1e-2)
         assert not bad.passed
 
+    def test_budget_abort_fails_checks_not_the_run(self, capsys):
+        # at tol 1e-3 the mean-index runs abort: that is a failed check
+        # (exit 3) and every other check still reports
+        code, out, err = run_cli(
+            capsys, "verify", "--samples", "2000", "--oracle-polys", "50", "--tol", "1e-3"
+        )
+        assert code == 3 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 12 and lines[-1].endswith("checks passed")
+        mean = [line for line in lines if "mean index" in line]
+        assert mean and mean[0].startswith("[FAIL]")
+        assert "aborted: indeterminate fraction" in mean[0]
+
+    def test_budget_check_passes_at_the_abort_limit(self, monkeypatch):
+        # exactly MAX_INDETERMINATE_FRACTION indeterminate: estimate accepts
+        # such a run, so the budget check must pass it too
+        from stabindex import verify
+        from stabindex.montecarlo import MAX_INDETERMINATE_FRACTION, IndexHistogram
+
+        def at_limit(cfg):
+            indet = round(MAX_INDETERMINATE_FRACTION * cfg.samples)
+            counts = np.zeros(cfg.family.n + 1, dtype=np.int64)
+            counts[0] = cfg.samples - indet
+            return IndexHistogram(cfg.family, counts, indet, cfg.samples, cfg.seed)
+
+        monkeypatch.setattr(verify, "run_estimation", at_limit)
+        result = verify.check_indeterminate_fraction(samples=10_000)
+        assert result.passed, result
+        assert result.detail.startswith("max fraction 1.00e-03")
+
     def test_shifted_scan_fails_oracle(self, monkeypatch):
         # negative control: the oracle check must catch a sign scan that
         # miscounts some rows

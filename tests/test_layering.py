@@ -1,6 +1,8 @@
-"""Module layering: each module of the package imports only modules below it."""
+"""Module layering: each module of the package imports only modules below
+it, and nothing outside the standard library but numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import stabindex
@@ -14,26 +16,28 @@ ORDER = [
 SRC = Path(stabindex.__file__).resolve().parent
 
 
-def _package_imports(path: Path) -> set:
-    """Names of the stabindex modules a source file imports."""
+def _imports(path: Path) -> set:
+    """Dotted names of the modules a source file imports; a relative import
+    reads as stabindex.<module>."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0:
-                names = [node.module]
+                found.add(node.module)
             elif node.module is None:  # from . import verify
-                names = [f"stabindex.{alias.name}" for alias in node.names]
+                found.update(f"stabindex.{alias.name}" for alias in node.names)
             else:
-                names = [f"stabindex.{node.module}"]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "stabindex" and len(parts) > 1:
-                found.add(parts[1])
+                found.add(f"stabindex.{node.module}")
     return found
+
+
+def _package_imports(path: Path) -> set:
+    """Names of the stabindex modules a source file imports."""
+    return {
+        name.split(".")[1] for name in _imports(path) if name.startswith("stabindex.")
+    }
 
 
 def test_every_module_is_ordered():
@@ -50,3 +54,12 @@ def test_imports_point_down_the_order():
         for module in ORDER
     }
     assert {m: imps for m, imps in upward.items() if imps} == {}
+
+
+def test_runtime_dependency_is_numpy_only():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stabindex"}
+    foreign = {
+        path.name: sorted({name.split(".")[0] for name in _imports(path)} - allowed)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: imps for name, imps in foreign.items() if imps} == {}
