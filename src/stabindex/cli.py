@@ -64,31 +64,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="stabindex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    est = sub.add_parser("estimate", help="estimate an index distribution")
-    est.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    est.add_argument("--n", required=True, type=int)
-    est.add_argument("--samples", type=int, default=1_000_000)
-    est.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    est.add_argument("--shards", type=int, default=1)
-    est.add_argument("--method", choices=METHODS, default="auto")
-    est.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    est.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    est.add_argument("--out", metavar="FILE", default=None)
+    # the flags estimate and convergence share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--family", required=True, choices=FAMILY_KINDS)
+    common.add_argument("--n", required=True, type=int)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common.add_argument("--method", choices=METHODS, default="auto")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    common.add_argument("--out", metavar="FILE", default=None)
 
-    conv = sub.add_parser("convergence", help="error decay over a sample grid")
-    conv.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    conv.add_argument("--n", required=True, type=int)
+    est = sub.add_parser("estimate", parents=[common], help="estimate an index distribution")
+    est.add_argument("--samples", type=int, default=1_000_000)
+    est.add_argument("--shards", type=int, default=1)
+
+    conv = sub.add_parser("convergence", parents=[common], help="error decay over a sample grid")
     conv.add_argument("--k", required=True, type=int, help="index probability to track")
     conv.add_argument(
         "--grid",
         default="100,1000,10000,100000,1000000",
         help="comma-separated sample sizes",
     )
-    conv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    conv.add_argument("--method", choices=METHODS, default="auto")
-    conv.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    conv.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    conv.add_argument("--out", metavar="FILE", default=None)
 
     ver = sub.add_parser("verify", help="run the cross-checking property suite")
     ver.add_argument("--samples", type=int, default=100_000)

@@ -23,6 +23,31 @@ BOUNDARY_ROOT = -2
 ZERO_LEADING = -3
 
 
+def _scale(c, m):
+    """max |c[j]| over j < m, from 0.0; NaN entries never win the comparison."""
+    scale = 0.0
+    for j in range(m):
+        v = abs(c[j])
+        if v > scale:
+            scale = v
+    return scale
+
+
+def _sign_variations(vals, length, eps):
+    """Sign changes along vals[:length], skipping entries with |v| <= eps."""
+    count = 0
+    last = 0
+    for i in range(length):
+        v = vals[i]
+        if abs(v) <= eps:
+            continue
+        s = 1 if v > 0.0 else -1
+        if last != 0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
 def has_nonneg_real_root(d):
     """Whether the real polynomial ``d`` (ascending coeffs) has a root s >= 0.
 
@@ -32,11 +57,7 @@ def has_nonneg_real_root(d):
     caller treats as a boundary case.
     """
     m = d.shape[0]
-    scale = 0.0
-    for j in range(m):
-        v = abs(d[j])
-        if v > scale:
-            scale = v
+    scale = _scale(d, m)
     if scale == 0.0:
         return True
     eps = 1e-12 * scale
@@ -77,11 +98,7 @@ def has_nonneg_real_root(d):
                     a[shift + j] -= q * b[j]
             a[k] = 0.0
         ra = db - 1
-        rscale = 0.0
-        for j in range(ra + 1):
-            v = abs(a[j])
-            if v > rscale:
-                rscale = v
+        rscale = _scale(a, ra + 1)
         if rscale == 0.0 or rscale <= eps:
             return True  # nontrivial gcd: treat as boundary-suspicious
         while ra > 0 and abs(a[ra]) <= 1e-12 * rscale:
@@ -94,27 +111,7 @@ def has_nonneg_real_root(d):
         da = db
         db = ra
 
-    v0 = 0
-    last = 0
-    for i in range(length):
-        v = vals0[i]
-        if abs(v) <= eps:
-            continue
-        s = 1 if v > 0.0 else -1
-        if last != 0 and s != last:
-            v0 += 1
-        last = s
-    vinf = 0
-    last = 0
-    for i in range(length):
-        v = leads[i]
-        if abs(v) <= eps:
-            continue
-        s = 1 if v > 0.0 else -1
-        if last != 0 and s != last:
-            vinf += 1
-        last = s
-    return (v0 - vinf) > 0
+    return _sign_variations(vals0, length, eps) - _sign_variations(leads, length, eps) > 0
 
 
 def routh_scan(coeffs, tol):
@@ -129,11 +126,7 @@ def routh_scan(coeffs, tol):
     perturbing the array, so it is reported as ZERO_PIVOT.
     """
     n = coeffs.shape[0] - 1
-    scale = 0.0
-    for j in range(n + 1):
-        v = abs(coeffs[j])
-        if v > scale:
-            scale = v
+    scale = _scale(coeffs, n + 1)
     if scale == 0.0:
         return ZERO_LEADING
     thr = tol * scale
@@ -203,38 +196,24 @@ def mobius_apply(coeffs):
     weights = mobius_weights(n)
     star = np.zeros(n + 1)
     for j in range(n + 1):
-        c = coeffs[j]
-        if c != 0.0:
-            for t in range(n + 1):
-                star[t] += c * weights[j, t]
+        for t in range(n + 1):
+            star[t] += coeffs[j] * weights[j, t]
     return star
 
 
 def jury_scan(coeffs, tol):
     """Number of roots with |x| < 1: conformal map to a half-plane + Routh scan.
 
-    A degree drop in the transformed polynomial means the input vanishes at
-    x = 1, i.e. on the disk boundary.
+    A ~0 leading coefficient is ZERO_LEADING.  routh_scan's ZERO_LEADING for
+    the mapped polynomial is a degree drop: the input vanishes at x = 1, on
+    the disk boundary, so it becomes BOUNDARY_ROOT.
     """
     n = coeffs.shape[0] - 1
-    scale = 0.0
-    for j in range(n + 1):
-        v = abs(coeffs[j])
-        if v > scale:
-            scale = v
-    if scale == 0.0:
+    scale = _scale(coeffs, n + 1)
+    if scale == 0.0 or abs(coeffs[n]) <= tol * scale:
         return ZERO_LEADING
-    if abs(coeffs[n]) <= tol * scale:
-        return ZERO_LEADING
-    star = mobius_apply(coeffs)
-    sscale = 0.0
-    for j in range(n + 1):
-        v = abs(star[j])
-        if v > sscale:
-            sscale = v
-    if sscale == 0.0 or abs(star[n]) <= tol * sscale:
-        return BOUNDARY_ROOT
-    return routh_scan(star, tol)
+    code = routh_scan(mobius_apply(coeffs), tol)
+    return BOUNDARY_ROOT if code == ZERO_LEADING else code
 
 
 def char_poly(a):
@@ -347,24 +326,21 @@ def _routh_columns(coeffs, tol):
 def _jury_columns(coeffs, tol):
     """jury_scan of each column of an (n+1, count) ascending-coefficient array.
 
-    The Moebius sum adds every term, where mobius_apply skips zero
-    coefficients: a +-0 product added to a sum that starts at +0.0 never
-    changes it.
+    Every column's Moebius image goes through _routh_columns, whose
+    ZERO_LEADING (a degree drop: the input vanishes at x = 1) becomes
+    BOUNDARY_ROOT.  Columns whose own leading coefficient is ~0 are then
+    overwritten with ZERO_LEADING, as jury_scan tests that first.
     """
     coeffs = np.ascontiguousarray(coeffs)
     n = coeffs.shape[0] - 1
-    scale = _abs_max(coeffs)
-    zero_lead = (scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)
     weights = mobius_weights(n)
     star = np.zeros_like(coeffs)
     for j in range(n + 1):
         star += coeffs[j] * weights[j][:, None]
-    sscale = _abs_max(star)
-    boundary = ~zero_lead & ((sscale == 0.0) | (np.abs(star[n]) <= tol * sscale))
-    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
-    codes[boundary] = BOUNDARY_ROOT
-    scan = ~(zero_lead | boundary)
-    codes[scan] = _routh_columns(star.compress(scan, axis=1), tol)
+    codes = _routh_columns(star, tol)
+    codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
+    scale = _abs_max(coeffs)
+    codes[(scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)] = ZERO_LEADING
     return codes
 
 
@@ -472,16 +448,14 @@ def eig_halfplane_codes(mats, tol):
     return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
 
 
-def eig_disk_codes(mats, radius, tol):
-    """Counts of eigenvalues with |x| < radius (scalar or per-sample array)."""
+def eig_disk_codes(mats, radii, tol):
+    """Counts of eigenvalues with |x| < radii[i] for each matrix mats[i] of a
+    (count, n, n) stack; radii is a length-count array."""
     lam = np.linalg.eigvals(mats)
     mod = np.abs(lam)
-    r = np.asarray(radius, dtype=float)
-    if r.ndim == 0:
-        r = np.full(mats.shape[0], float(r))
-    thr = tol * np.maximum(mod.max(axis=1), r)
-    boundary = (np.abs(mod - r[:, None]) <= thr[:, None]).any(axis=1)
-    counts = (mod < r[:, None]).sum(axis=1).astype(np.int64)
+    thr = tol * np.maximum(mod.max(axis=1), radii)
+    boundary = (np.abs(mod - radii[:, None]) <= thr[:, None]).any(axis=1)
+    counts = (mod < radii[:, None]).sum(axis=1).astype(np.int64)
     return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
 
 
@@ -504,7 +478,7 @@ def companion_region_codes(params, region, tol):
         if region == "left-half-plane":
             codes[ok] = eig_halfplane_codes(comp, tol)
         else:
-            codes[ok] = eig_disk_codes(comp, 1.0, tol)
+            codes[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
     return codes
 
 

@@ -98,12 +98,16 @@ def batch_indices(
     Row layout: cont-sys is A row-major; disc-sys is (b, A row-major); the
     equation families are coefficients highest degree first.  Returns int64
     codes (count k >= 0, or a negative indeterminate code from .kernels).
+    Raises ValueError for a NaN or infinite parameter, which the routes
+    would otherwise classify differently or not at all.
     """
     params = np.ascontiguousarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != family.param_count:
         raise ValueError(
             f"params must have shape (count, {family.param_count}) for {family}"
         )
+    if not np.isfinite(params).all():
+        raise ValueError("params must be finite")
     validate_tol(tol)
     how = resolve_method(family, method)
     n = family.n

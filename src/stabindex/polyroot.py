@@ -152,7 +152,7 @@ def eigen_region_count(
     elif region == "disk":
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"disk radius must be a finite positive number, got {radius}")
-        codes = kernels.eig_disk_codes(a[None, :, :], radius, tol)
+        codes = kernels.eig_disk_codes(a[None, :, :], np.array([radius]), tol)
     else:
         raise ValueError(f"unknown region {region!r}")
     return RootCount.from_code(codes[0])

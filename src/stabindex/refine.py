@@ -9,11 +9,11 @@ from .montecarlo import ProbabilityVector
 
 
 class RepairFailed(RuntimeError):
-    """Negative entries survived every repair round; carries the last
-    iterate in ``.last``."""
+    """Negative entries survived a repair round that had nothing new to pin;
+    carries the last iterate in ``.last``."""
 
     def __init__(self, last: ProbabilityVector):
-        super().__init__("negative entries remain after the allowed repair rounds")
+        super().__init__("negative entries remain at already pinned indices")
         self.last = last
 
 
@@ -57,34 +57,30 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     return ProbabilityVector(phat, se, "refined")
 
 
-def nonneg_repair(
-    cs: ConstraintSystem, ptilde, max_rounds: int = 5
-) -> ProbabilityVector:
+def nonneg_repair(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     """Refine, then repeatedly pin negative entries to exactly zero.
 
     Each round pins every index whose refined value is negative (and, for
     symmetric families, its mirror), rebuilds the constraint system over the
     remaining free entries and re-solves against the original frequencies.
-    The free set shrinks every round, so max_rounds is a safety cap more
-    than a budget.  Raises RepairFailed with the last iterate if negatives
-    survive, and InconsistentConstraints if pinning contradicts the
+    The pinned set only grows, so there are at most n + 1 rounds.  Raises
+    RepairFailed with the last iterate if a round finds negatives but nothing
+    new to pin, and InconsistentConstraints if pinning contradicts the
     relations.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     family = cs.family
     pinned = set(cs.pinned)
     phat = least_squares_refine(cs, ptilde)
-    for _ in range(max_rounds):
+    while True:
         negative = np.flatnonzero(phat.values < 0.0)
         if negative.size == 0:
             return phat
+        before = len(pinned)
         for j in negative:
             pinned.add(int(j))
             if family.symmetric:
                 pinned.add(family.n - int(j))
+        if len(pinned) == before:
+            raise RepairFailed(phat)
         cs = build_constraints(family, pinned=pinned)
         phat = least_squares_refine(cs, ptilde)
-    if (phat.values < 0.0).any():
-        raise RepairFailed(phat)
-    return phat

@@ -5,6 +5,7 @@ must reproduce them bit for bit: every code, and every char_poly
 coefficient, equals what the scalar kernel gives for that row alone.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,41 @@ def test_known_all_zero_rows():
     params = np.array([[1.0, 0.0, -5.0, 0.0, 4.0], [1.0, 0.0, 5.0, 0.0, 4.0]])
     codes = kernels.batch_poly_halfplane(params, TOL)
     assert codes.tolist() == [2, BOUNDARY_ROOT]
+
+
+# Real roots of the squarefree test products, and quadratics with none.
+REAL_ROOTS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
+COMPLEX_PAIRS = ([1.0, 0.0, 1.0], [2.0, 2.0, 1.0], [2.0, -2.0, 1.0])  # s^2+1, s^2+-2s+2
+
+
+def test_has_nonneg_real_root_on_known_roots():
+    """Every product of distinct factors (s - r) and complex-pair quadratics,
+    in both signs, has a root s >= 0 exactly when some r > 0."""
+    checked = 0
+    for k in range(len(REAL_ROOTS) + 1):
+        for roots in itertools.combinations(REAL_ROOTS, k):
+            for q in range(len(COMPLEX_PAIRS) + 1):
+                for pairs in itertools.combinations(COMPLEX_PAIRS, q):
+                    if not roots and not pairs:
+                        continue
+                    d = np.ones(1)
+                    for factor in [[-r, 1.0] for r in roots] + list(pairs):
+                        d = np.convolve(d, factor)
+                    for sign in (1.0, -1.0):
+                        got = kernels.has_nonneg_real_root(sign * d)
+                        assert got == any(r > 0 for r in roots), (sign, roots, pairs)
+                    checked += 1
+    assert checked == 2 ** (len(REAL_ROOTS) + len(COMPLEX_PAIRS)) - 1
+
+
+@pytest.mark.parametrize(
+    "d",
+    [[0.0, 1.0, 1.0], [0.0, -2.0], [1.0, 2.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]],
+    ids=["root-at-0", "linear-at-0", "double-negative", "double-positive", "zero"],
+)
+def test_has_nonneg_real_root_degenerate_is_true(d):
+    """A root at 0, a repeated root and the zero polynomial all report True."""
+    assert kernels.has_nonneg_real_root(np.array(d))
 
 
 def test_non_finite_rows_match_scalar():

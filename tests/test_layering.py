@@ -1,11 +1,14 @@
 """Module layering: each module of the package imports only modules below
-it, and nothing outside the standard library but numpy."""
+it, and nothing outside the standard library but numpy; and every layer
+boundary the benchmark traces still exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import stabindex
+from stabindex import kernels
 
 # Lowest layer first.  The package's __init__ re-exports every layer and is
 # not part of the order.
@@ -14,6 +17,14 @@ ORDER = [
     "refine", "verify", "cli", "__main__",
 ]
 SRC = Path(stabindex.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# The kernels batch_indices dispatches to; the benchmark times each one.
+KERNEL_ENTRY_POINTS = {
+    "batch_poly_halfplane", "batch_poly_disk", "batch_matrix_halfplane",
+    "batch_pencil_disk", "eig_halfplane_codes", "eig_disk_codes",
+    "companion_region_codes",
+}
 
 
 def _imports(path: Path) -> set:
@@ -63,3 +74,19 @@ def test_runtime_dependency_is_numpy_only():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: imps for name, imps in foreign.items() if imps} == {}
+
+
+def test_benchmark_trace_seams_exist(monkeypatch):
+    """The benchmark's per-layer times come from wrapping the names in
+    perfbench/layers.py BOUNDARIES; a missing one is skipped with only a
+    printed note, so its span would silently vanish."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _ in layers.BOUNDARIES
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+    wrapped = {attr for owner, attr, _ in layers.BOUNDARIES if owner is kernels}
+    assert KERNEL_ENTRY_POINTS <= wrapped

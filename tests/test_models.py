@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as P
 
 from stabindex.models import (
     FAMILY_KINDS,
+    METHODS,
     ModelFamily,
     batch_indices,
     char_poly,
@@ -117,6 +118,19 @@ class TestForcedSamples:
             index_from_params(fam, [1.0, 1.0], tol=tol)
         with pytest.raises(ValueError, match="finite positive"):
             batch_indices(fam, np.ones((3, 2)), "eigen", tol=tol)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_non_finite_params_rejected(self, kind):
+        # rh and eigen would classify such a row differently, or fail the chunk
+        fam = ModelFamily(kind, 2)
+        for bad in (np.nan, np.inf):
+            params = np.ones((3, fam.param_count))
+            params[1, 1] = bad
+            for method in METHODS:
+                with pytest.raises(ValueError, match="params must be finite"):
+                    batch_indices(fam, params, method)
+                with pytest.raises(ValueError, match="params must be finite"):
+                    index_from_params(fam, params[1], method)
 
 
 class TestSampleProperties:
