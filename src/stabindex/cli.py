@@ -239,8 +239,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise CliError("--samples must be >= 1")
+    if args.samples < 2:  # the determinism check splits them over two shards
+        raise CliError("--samples must be >= 2")
     if args.oracle_polys < 1:
         raise CliError("--oracle-polys must be >= 1")
     if args.seed < 0:

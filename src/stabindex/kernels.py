@@ -15,6 +15,7 @@ whole chunk of samples at once, column by column, in the same order.
 """
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -250,12 +251,14 @@ def char_poly(a):
 # Batch kernels over sample chunks (the Monte Carlo hot path).  Each runs its
 # scalar counterpart's recurrence over a whole chunk at once: every sample
 # sees the same float operations in the same order, so the codes match the
-# scalar kernels bit for bit.  Inside, coefficient arrays are (n+1, count)
-# and matrix stacks (n, n, count): one column per sample, so each numpy
-# operation runs along the sample axis.
+# scalar kernels bit for bit.  They never see a drawn row, only what
+# models.batch_indices unpacks from it: ascending coefficients as (n+1, count)
+# columns, (count, n, n) matrix stacks and length-count radii.  Inside, matrix
+# stacks become (n, n, count): one column per sample, so each numpy operation
+# runs along the sample axis.
 #
 # Every working array is C-contiguous, so that axis is the contiguous one.
-# Inputs are copied once at entry (the equation kernels receive transposed
+# Inputs are copied once at entry (coefficient columns arrive as transposed
 # views), and columns are selected with np.take / np.compress on axis 1:
 # advanced or boolean indexing on axis 1 returns Fortran order, on which
 # each lockstep step strides across the samples at several times the cost.
@@ -275,7 +278,7 @@ def _abs_max(cols):
     return np.fmax.reduce(np.abs(cols), axis=0, initial=0.0)
 
 
-def _routh_columns(coeffs, tol):
+def routh_codes(coeffs, tol):
     """routh_scan of each column of an (n+1, count) ascending-coefficient array.
 
     All columns step through the Routh array in lockstep.  A column leaves
@@ -323,10 +326,10 @@ def _routh_columns(coeffs, tol):
     return codes
 
 
-def _jury_columns(coeffs, tol):
+def jury_codes(coeffs, tol):
     """jury_scan of each column of an (n+1, count) ascending-coefficient array.
 
-    Every column's Moebius image goes through _routh_columns, whose
+    Every column's Moebius image goes through routh_codes, whose
     ZERO_LEADING (a degree drop: the input vanishes at x = 1) becomes
     BOUNDARY_ROOT.  Columns whose own leading coefficient is ~0 are then
     overwritten with ZERO_LEADING, as jury_scan tests that first.
@@ -337,7 +340,7 @@ def _jury_columns(coeffs, tol):
     star = np.zeros_like(coeffs)
     for j in range(n + 1):
         star += coeffs[j] * weights[j][:, None]
-    codes = _routh_columns(star, tol)
+    codes = routh_codes(star, tol)
     codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
     scale = _abs_max(coeffs)
     codes[(scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)] = ZERO_LEADING
@@ -399,38 +402,28 @@ def _ascending_sum(terms):
     return total
 
 
-def batch_poly_halfplane(params, tol):
-    """Half-plane counts for polynomials given highest-degree-first rows."""
-    return _routh_columns(params.T[::-1], tol)
-
-
-def batch_poly_disk(params, tol):
-    """Unit-disk counts for polynomials given highest-degree-first rows."""
-    return _jury_columns(params.T[::-1], tol)
-
-
 def batch_matrix_halfplane(mats, tol):
     """Eigenvalues with Re < 0 per matrix, via char_poly + routh_scan."""
-    return _routh_columns(_char_poly_columns(mats), tol)
+    return routh_codes(_char_poly_columns(mats), tol)
 
 
-def batch_pencil_disk(params, n, tol):
-    """Counts of eigenvalues of A with |x| < |b|, rows packed as (b, A).
+def batch_pencil_disk(mats, radii, tol):
+    """eig_disk_codes(mats, radii, tol) via char_poly + jury_scan.
 
-    Counted through the complement: the polynomial sum_t c_{n-t} b^{n-t} y^t
-    has its roots at y = b/x, so its unit-disk count is the number of
-    eigenvalues outside radius |b|.  This keeps the leading coefficient at
-    det-scale instead of b^n, so small |b| draws stay well conditioned, and
-    b is never divided by.
+    Counted through the complement: with r = radii[i], the polynomial
+    sum_t c_{n-t} r^{n-t} y^t has its roots at y = r/x, so its unit-disk
+    count is the number of eigenvalues outside radius r.  This keeps the
+    leading coefficient at det-scale instead of r^n, so small radii stay well
+    conditioned, and r is never divided by.
     """
-    b = np.abs(params[:, 0])
-    coeffs = _char_poly_columns(params[:, 1:].reshape(-1, n, n))
+    n = mats.shape[1]
+    coeffs = _char_poly_columns(mats)
     scaled = np.empty_like(coeffs)
-    f = np.ones_like(b)
+    f = np.ones_like(radii)
     for t in range(n, -1, -1):
         scaled[t] = coeffs[n - t] * f
-        f = f * b
-    outside = _jury_columns(scaled, tol)
+        f = f * radii
+    outside = jury_codes(scaled, tol)
     return np.where(outside < 0, outside, n - outside)
 
 
@@ -459,26 +452,22 @@ def eig_disk_codes(mats, radii, tol):
     return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
 
 
-def companion_region_codes(params, region, tol):
-    """Region counts for polynomial rows (highest degree first) via companion
-    matrix eigenvalues.  region is "left-half-plane" or "disk" (radius 1)."""
-    count, width = params.shape
-    n = width - 1
-    coeffs = params[:, ::-1]
-    scale = np.abs(coeffs).max(axis=1)
-    lead = coeffs[:, n]
-    codes = np.full(count, np.int64(ZERO_LEADING))
-    ok = (scale > 0.0) & (np.abs(lead) > tol * scale)
-    if ok.any():
-        good = np.ascontiguousarray(coeffs[ok])
-        comp = np.zeros((good.shape[0], n, n))
-        idx = np.arange(n - 1)
-        comp[:, idx, idx + 1] = 1.0
-        comp[:, n - 1, :] = -good[:, :n] / good[:, n : n + 1]
-        if region == "left-half-plane":
-            codes[ok] = eig_halfplane_codes(comp, tol)
-        else:
-            codes[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
+def companion_region_codes(coeffs, region, tol):
+    """Region counts of finite (n+1, count) ascending-coefficient columns via
+    companion eigenvalues; region is "left-half-plane" or "disk" (radius 1)."""
+    n = coeffs.shape[0] - 1
+    scale = _abs_max(coeffs)
+    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
+    ok = (scale > 0.0) & (np.abs(coeffs[n]) > tol * scale)
+    good = coeffs.compress(ok, axis=1)
+    comp = np.zeros((good.shape[1], n, n))
+    idx = np.arange(n - 1)
+    comp[:, idx, idx + 1] = 1.0
+    comp[:, n - 1, :] = (-good[:n] / good[n]).T
+    if region == "left-half-plane":
+        codes[ok] = eig_halfplane_codes(comp, tol)
+    else:
+        codes[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
     return codes
 
 
@@ -486,24 +475,15 @@ def companion_region_codes(params, region, tol):
 def mobius_weights(n: int) -> np.ndarray:
     """Weight matrix W with W[j, t] = [z^t] (z+1)^j (z-1)^(n-j).
 
-    Binomial coefficients are computed as exact Python integers and cast to
+    Each entry is an exact Python-integer sum of binomial products, cast to
     float64, which is lossless for the supported degrees.
     """
-    binom = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        binom[i][0] = 1
-        for j in range(1, i + 1):
-            binom[i][j] = binom[i - 1][j - 1] + binom[i - 1][j]
     w = np.zeros((n + 1, n + 1))
     for j in range(n + 1):
         for t in range(n + 1):
             acc = 0
             for u in range(max(0, t - (n - j)), min(j, t) + 1):
-                term = binom[j][u] * binom[n - j][t - u]
-                if ((n - j) - (t - u)) % 2 == 1:
-                    acc -= term
-                else:
-                    acc += term
+                acc += (-1) ** (n - j - t + u) * comb(j, u) * comb(n - j, t - u)
             w[j, t] = float(acc)
     w.flags.writeable = False
     return w

@@ -7,6 +7,7 @@ for the matrix pencil b x_{k+1} = A x_k) for the discrete ones.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class ModelFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not isinstance(self.n, Integral) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -95,11 +98,14 @@ def batch_indices(
 ) -> np.ndarray:
     """Index codes for a (count, param_count) block of drawn parameters.
 
-    Row layout: cont-sys is A row-major; disc-sys is (b, A row-major); the
-    equation families are coefficients highest degree first.  Returns int64
-    codes (count k >= 0, or a negative indeterminate code from .kernels).
-    Raises ValueError for a NaN or infinite parameter, which the routes
-    would otherwise classify differently or not at all.
+    Only this function knows the row layout: cont-sys is A row-major;
+    disc-sys is (b, A row-major), counted within radius |b|; the equation
+    families are coefficients highest degree first.  Each block is unpacked
+    once into what both routes of its family take: ascending coefficient
+    columns, a (count, n, n) matrix stack, or that stack and the radii |b|.
+    Returns int64 codes (count k >= 0, or a negative indeterminate code from
+    .kernels).  Raises ValueError for a NaN or infinite parameter, which the
+    routes would otherwise classify differently or not at all.
     """
     params = np.ascontiguousarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != family.param_count:
@@ -112,23 +118,25 @@ def batch_indices(
     how = resolve_method(family, method)
     n = family.n
     if family.kind == "cont-eq":
+        coeffs = params.T[::-1]
         if how == "rh":
-            return kernels.batch_poly_halfplane(params, tol)
-        return kernels.companion_region_codes(params, "left-half-plane", tol)
+            return kernels.routh_codes(coeffs, tol)
+        return kernels.companion_region_codes(coeffs, "left-half-plane", tol)
     if family.kind == "disc-eq":
+        coeffs = params.T[::-1]
         if how == "rh":
-            return kernels.batch_poly_disk(params, tol)
-        return kernels.companion_region_codes(params, "disk", tol)
+            return kernels.jury_codes(coeffs, tol)
+        return kernels.companion_region_codes(coeffs, "disk", tol)
     if family.kind == "cont-sys":
         mats = params.reshape(-1, n, n)
         if how == "rh":
             return kernels.batch_matrix_halfplane(mats, tol)
         return kernels.eig_halfplane_codes(mats, tol)
     # disc-sys
-    if how == "rh":
-        return kernels.batch_pencil_disk(params, n, tol)
     radii = np.abs(params[:, 0])
     mats = params[:, 1:].reshape(-1, n, n)
+    if how == "rh":
+        return kernels.batch_pencil_disk(mats, radii, tol)
     return kernels.eig_disk_codes(mats, radii, tol)
 
 

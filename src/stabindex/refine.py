@@ -42,7 +42,7 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     if p.shape != (n1,):
         raise ValueError(f"expected a length-{n1} frequency vector")
     k = cs.design.shape[1]
-    if k == 0:
+    if k == 0:  # older numpy's matrix_rank rejects a 0x0 matrix
         phat = cs.offset.copy()
         se = np.zeros(n1)
     else:

@@ -212,6 +212,18 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and flag in err
 
+    def test_single_sample_is_usage_error(self, capsys):
+        # the determinism check splits --samples over two shards
+        code, out, err = run_cli(capsys, "verify", "--samples", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--samples" in err
+
+    def test_single_oracle_poly_is_valid(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--samples", "2", "--oracle-polys", "1"
+        )
+        assert code == 0 and "error:" not in err
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1")
         assert code == 1 and out == ""

@@ -62,12 +62,12 @@ def _scalar_codes(kind, n, params):
 
 def _batch_codes(kind, n, params):
     if kind == "cont-eq":
-        return kernels.batch_poly_halfplane(params, TOL)
+        return kernels.routh_codes(params.T[::-1], TOL)
     if kind == "disc-eq":
-        return kernels.batch_poly_disk(params, TOL)
+        return kernels.jury_codes(params.T[::-1], TOL)
     if kind == "cont-sys":
         return kernels.batch_matrix_halfplane(_matrices(kind, n, params), TOL)
-    return kernels.batch_pencil_disk(params, n, TOL)
+    return kernels.batch_pencil_disk(_matrices(kind, n, params), np.abs(params[:, 0]), TOL)
 
 
 def _draws(kind, n, rows, integer):
@@ -132,21 +132,17 @@ def _layouts(a):
 
 
 def _layout_cases(kind, n, params):
-    """(name, kernel, input) for each kernel that reads this family's rows."""
+    """(name, kernel, input) for the sign-scan kernel of this family, on the
+    coefficient columns or matrix stack batch_indices unpacks from the rows."""
     if kind == "cont-eq":
-        return [
-            ("batch_poly_halfplane", lambda a: kernels.batch_poly_halfplane(a, TOL), params),
-            ("_routh_columns", lambda a: kernels._routh_columns(a, TOL), params.T[::-1]),
-        ]
+        return [("routh_codes", lambda a: kernels.routh_codes(a, TOL), params.T[::-1])]
     if kind == "disc-eq":
-        return [
-            ("batch_poly_disk", lambda a: kernels.batch_poly_disk(a, TOL), params),
-            ("_jury_columns", lambda a: kernels._jury_columns(a, TOL), params.T[::-1]),
-        ]
+        return [("jury_codes", lambda a: kernels.jury_codes(a, TOL), params.T[::-1])]
+    mats = _matrices(kind, n, params)
     if kind == "cont-sys":
-        mats = _matrices(kind, n, params)
         return [("batch_matrix_halfplane", lambda a: kernels.batch_matrix_halfplane(a, TOL), mats)]
-    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, n, TOL), params)]
+    radii = np.abs(params[:, 0])
+    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, radii, TOL), mats)]
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -213,7 +209,7 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
         return kernels.batch_matrix_halfplane(_matrices("disc-sys", n, p), TOL)
 
     def pencil(p):
-        return kernels.batch_pencil_disk(p, n, TOL)
+        return kernels.batch_pencil_disk(_matrices("disc-sys", n, p), np.abs(p[:, 0]), TOL)
 
     for codes in (halfplane, pencil):
         by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
@@ -238,7 +234,7 @@ def test_char_poly_working_set_is_blocked(kind):
 def test_known_all_zero_rows():
     # (x^2-1)(x^2-4) repairs to 2 roots; (x^2+1)(x^2+4) has boundary roots
     params = np.array([[1.0, 0.0, -5.0, 0.0, 4.0], [1.0, 0.0, 5.0, 0.0, 4.0]])
-    codes = kernels.batch_poly_halfplane(params, TOL)
+    codes = kernels.routh_codes(params.T[::-1], TOL)
     assert codes.tolist() == [2, BOUNDARY_ROOT]
 
 
@@ -292,6 +288,21 @@ def test_non_finite_rows_match_scalar():
 
 
 def test_empty_chunk():
-    params = np.empty((0, 4))
-    assert kernels.batch_poly_halfplane(params, TOL).shape == (0,)
-    assert kernels.batch_poly_disk(params, TOL).shape == (0,)
+    coeffs = np.empty((4, 0))
+    assert kernels.routh_codes(coeffs, TOL).shape == (0,)
+    assert kernels.jury_codes(coeffs, TOL).shape == (0,)
+
+
+def test_mobius_weights_are_binomial_products():
+    """Row j of mobius_weights(n) is (z+1)^j (z-1)^(n-j), expanded exactly
+    by integer convolution."""
+    for n in range(31):
+        for j in range(n + 1):
+            poly = np.ones(1, dtype=np.int64)
+            for factor in [[1, 1]] * j + [[-1, 1]] * (n - j):
+                poly = np.convolve(poly, factor)
+            np.testing.assert_array_equal(
+                kernels.mobius_weights(n)[j].view(np.int64),
+                poly.astype(float).view(np.int64),
+                err_msg=f"n={n} j={j}",
+            )

@@ -19,13 +19,6 @@ ORDER = [
 SRC = Path(stabindex.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# The kernels batch_indices dispatches to; the benchmark times each one.
-KERNEL_ENTRY_POINTS = {
-    "batch_poly_halfplane", "batch_poly_disk", "batch_matrix_halfplane",
-    "batch_pencil_disk", "eig_halfplane_codes", "eig_disk_codes",
-    "companion_region_codes",
-}
-
 
 def _imports(path: Path) -> set:
     """Dotted names of the modules a source file imports; a relative import
@@ -76,10 +69,25 @@ def test_runtime_dependency_is_numpy_only():
     assert {name: imps for name, imps in foreign.items() if imps} == {}
 
 
+def _kernel_entry_points() -> set:
+    """The kernels.<name> attributes models.batch_indices uses."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    func = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "batch_indices"
+    )
+    return {
+        node.attr for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "kernels"
+    }
+
+
 def test_benchmark_trace_seams_exist(monkeypatch):
     """The benchmark's per-layer times come from wrapping the names in
     perfbench/layers.py BOUNDARIES; a missing one is skipped with only a
-    printed note, so its span would silently vanish."""
+    printed note, so its span would silently vanish.  Every kernel that
+    batch_indices calls must be wrapped, or its time would count as models'."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     missing = [
@@ -89,4 +97,6 @@ def test_benchmark_trace_seams_exist(monkeypatch):
     ]
     assert missing == []
     wrapped = {attr for owner, attr, _ in layers.BOUNDARIES if owner is kernels}
-    assert KERNEL_ENTRY_POINTS <= wrapped
+    entry_points = _kernel_entry_points()
+    assert entry_points
+    assert entry_points - wrapped == set()

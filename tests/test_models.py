@@ -60,6 +60,10 @@ class TestModelFamily:
             ModelFamily("cont", 2)
         with pytest.raises(ValueError):
             ModelFamily("cont-sys", 0)
+        for n in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                ModelFamily("cont-sys", n)
+        assert ModelFamily("cont-sys", np.int64(3)).param_count == 9
 
     def test_auto_method_switch(self):
         # the sign scan through n = 10, the orders verify's oracle checks

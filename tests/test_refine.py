@@ -13,7 +13,12 @@ from stabindex.constraints import (
     build_constraints,
 )
 from stabindex.models import ModelFamily
-from stabindex.montecarlo import EstimationConfig, frequencies, run_estimation
+from stabindex.montecarlo import (
+    EstimationConfig,
+    ProbabilityVector,
+    frequencies,
+    run_estimation,
+)
 from stabindex.refine import RepairFailed, least_squares_refine, nonneg_repair
 
 
@@ -165,6 +170,11 @@ class TestLeastSquares:
         cs = build_constraints(ModelFamily("cont-sys", 2))
         got = least_squares_refine(cs, np.array([0.3, 0.45, 0.25]))
         assert np.array_equal(got.values, [0.25, 0.5, 0.25])
+        # no free parameter: the offset comes back bit for bit, with no error
+        observed = ProbabilityVector(np.array([0.3, 0.45, 0.25]), np.array([0.01, 0.02, 0.01]))
+        got = least_squares_refine(cs, observed)
+        assert got.values.tobytes() == cs.offset.tobytes()
+        assert got.stderr.tobytes() == np.zeros(3).tobytes()
 
     def test_length_checked(self):
         cs = build_constraints(ModelFamily("cont-sys", 2))
