@@ -254,9 +254,11 @@ def _cmd_verify(args) -> int:
     )
     for result in results:
         print(result)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_VERIFY if failed else EXIT_OK
+    passed = sum(r.passed for r in results)
+    skipped = sum(r.skipped for r in results)
+    summary = f"{passed}/{len(results)} checks passed"
+    print(summary + (f", {skipped} skipped" if skipped else ""))
+    return EXIT_OK if passed + skipped == len(results) else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

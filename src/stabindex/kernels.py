@@ -258,112 +258,166 @@ def char_poly(a):
 # runs along the sample axis.
 #
 # Every working array is C-contiguous, so that axis is the contiguous one.
-# Inputs are copied once at entry (coefficient columns arrive as transposed
-# views), and columns are selected with np.take / np.compress on axis 1:
-# advanced or boolean indexing on axis 1 returns Fortran order, on which
-# each lockstep step strides across the samples at several times the cost.
+# Coefficient columns arrive as transposed views: the scans gather their
+# Routh rows from them in C order, and select columns with np.take /
+# np.compress on axis 1, because advanced or boolean indexing on axis 1
+# returns Fortran order, on which each lockstep step strides across the
+# samples at several times the cost.
 #
-# The char-poly recurrence holds four (n, n, count) arrays, 4.7 MB each for
-# a 16384-row chunk at n = 6.  It runs over column blocks instead, sized so
-# that one (n, n, block) array takes _BLOCK_BYTES (1820 rows at n = 6, 7281
-# at n = 3); each block's coefficients go into the chunk's (n+1, count)
-# result.  Blocking only splits the sample axis, so every sample's float
-# operations are unchanged.
+# Every kernel runs over column blocks of its chunk (_column_blocks), which
+# only split the sample axis, so no sample's float operations change.  The
+# Routh and Jury scans take blocks whose (n+1, block) arrays stay under
+# _SCAN_BYTES, below glibc's default 128 KiB mmap threshold: malloc serves
+# them from its heap and hands the same pages to the next block.  A
+# chunk-wide array is mapped fresh on every call instead, and faults its
+# pages in one by one: the unblocked scans took 476 minor faults per
+# 10k-row cont-eq n=4 call and 658 for disc-eq, and the blocked ones take
+# none.  _SCAN_COLUMNS caps the width at n <= 2, where the per-column
+# vectors (thresholds, indices, pivot signs) would otherwise outgrow what
+# malloc keeps between blocks.  The char-poly recurrence holds four
+# (n, n, block) arrays of _BLOCK_BYTES each (1820 rows at n = 6, 7281 at
+# n = 3), which keeps its working set in cache, and each block's
+# coefficients are scanned as soon as they are made, so no coefficient
+# array spans the chunk.
 
+_SCAN_BYTES = 120 << 10
+_SCAN_COLUMNS = 4096
 _BLOCK_BYTES = 1 << 19
 
 
+def _column_blocks(count, width):
+    """Consecutive slices of range(count), width columns each; the last may
+    be narrower."""
+    return [slice(start, min(start + width, count)) for start in range(0, count, width)]
+
+
+def _scan_width(n):
+    """Columns per block of the degree-n Routh and Jury scans."""
+    return max(1, min(_SCAN_COLUMNS, _SCAN_BYTES // (8 * (n + 1))))
+
+
 def _abs_max(cols):
-    """Per-column max |x|, skipping NaN as the scalar kernels' scans do."""
-    return np.fmax.reduce(np.abs(cols), axis=0, initial=0.0)
+    """Per-column max |x|, skipping NaN as the scalar kernels' scans do.
+    |x| is formed in C order: on a transposed view the reduction would
+    otherwise run across the contiguous axis, many times slower."""
+    return np.fmax.reduce(np.abs(cols, order="C"), axis=0, initial=0.0)
+
+
+def _lead_scale(coeffs, tol):
+    """Per column of (n+1, count) coefficients: the threshold tol * max |c|
+    and whether the leading coefficient is ~0 (at or below it, or all ~0)."""
+    thr = _abs_max(coeffs)
+    small = thr == 0.0
+    thr *= tol
+    small |= np.abs(coeffs[-1]) <= thr
+    return thr, small
 
 
 def routh_codes(coeffs, tol):
-    """routh_scan of each column of an (n+1, count) ascending-coefficient array.
+    """routh_scan of each column of an (n+1, count) ascending-coefficient array."""
+    codes = np.empty(coeffs.shape[1], dtype=np.int64)
+    for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
+        _routh_block(coeffs[:, cols], tol, codes[cols])
+    return codes
+
+
+def _routh_block(coeffs, tol, codes):
+    """Write routh_codes of an (n+1, count) block into codes.
 
     All columns step through the Routh array in lockstep.  A column leaves
     the working set when its pivot is ~0: as ZERO_PIVOT or, when the whole
     row is ~0, through routh_scan itself, which repairs the even divisor.
+    Three buffers rotate through the roles prev, cur and nxt.
     """
-    coeffs = np.ascontiguousarray(coeffs)
     n = coeffs.shape[0] - 1
-    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
-    scale = _abs_max(coeffs)
-    thr = tol * scale
-    idx = np.flatnonzero((scale != 0.0) & ~(np.abs(coeffs[n]) <= thr))
+    thr, small = _lead_scale(coeffs, tol)
+    codes.fill(ZERO_LEADING)
+    idx = np.flatnonzero(~small)
     if n == 0:
         codes[idx] = 0
-        return codes
-
-    thr = thr[idx]
-    prev = coeffs[n::-2].take(idx, axis=1)
+        return
+    rows = coeffs
+    if idx.size < small.size:
+        rows, thr = coeffs.take(idx, axis=1), thr[idx]
+    prev = np.array(rows[n::-2], order="C")
     cur = np.zeros_like(prev)
-    cur[: (n + 1) // 2] = coeffs[n - 1 :: -2].take(idx, axis=1)
-    changes = np.zeros(idx.size, dtype=np.int64)
-    last = prev[0] > 0.0
-    for deg in range(n - 1, -1, -1):
-        allzero = ~(np.abs(cur) > thr).any(axis=0)
-        dead = allzero | (np.abs(cur[0]) <= thr)
-        if dead.any():
+    cur[: (n + 1) // 2] = rows[n - 1 :: -2]
+    nxt = np.empty_like(prev)
+    signs = np.empty((n + 1, idx.size), dtype=bool)  # pivot signs, row by row
+    np.greater(prev[0], 0.0, out=signs[0])
+    for step in range(1, n + 1):  # cur holds the row of degree n - step
+        # nxt holds |cur| until the step's arithmetic overwrites it
+        if not (np.abs(cur[0], out=nxt[0]) > thr).all():
+            np.abs(cur[1:], out=nxt[1:])
+            allzero = ~(nxt > thr).any(axis=0)
+            dead = allzero | (nxt[0] <= thr)
             for col in idx[allzero]:
                 codes[col] = routh_scan(coeffs[:, col], tol)
             codes[idx[dead & ~allzero]] = ZERO_PIVOT
             keep = ~dead
-            idx, thr, changes, last = idx[keep], thr[keep], changes[keep], last[keep]
+            idx, thr = idx[keep], thr[keep]
             prev, cur = prev.compress(keep, axis=1), cur.compress(keep, axis=1)
-        s = cur[0] > 0.0
-        changes += s != last
-        last = s
-        if deg == 0:
+            signs = signs.compress(keep, axis=1)
+            nxt = np.empty_like(prev)
+        np.greater(cur[0], 0.0, out=signs[step])
+        if step == n:
             break
+        # nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv; prev[1:] holds
+        # top * cur[1:] once piv * prev[1:] is taken
         piv = cur[0]
-        top = prev[0]
-        nxt = np.zeros_like(cur)
-        nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv
-        prev = cur
-        cur = nxt
-    codes[idx] = n - changes
-    return codes
+        np.multiply(piv, prev[1:], out=nxt[:-1])
+        np.multiply(prev[0], cur[1:], out=prev[1:])
+        np.subtract(nxt[:-1], prev[1:], out=nxt[:-1])
+        np.divide(nxt[:-1], piv, out=nxt[:-1])
+        nxt[-1] = 0.0
+        prev, cur, nxt = cur, nxt, prev
+    del prev, cur, nxt  # free the Routh rows before counting sign changes
+    codes[idx] = n - np.count_nonzero(signs[1:] != signs[:-1], axis=0)
 
 
 def jury_codes(coeffs, tol):
     """jury_scan of each column of an (n+1, count) ascending-coefficient array.
 
-    Every column's Moebius image goes through routh_codes, whose
+    Every column's Moebius image goes through _routh_block, whose
     ZERO_LEADING (a degree drop: the input vanishes at x = 1) becomes
     BOUNDARY_ROOT.  Columns whose own leading coefficient is ~0 are then
     overwritten with ZERO_LEADING, as jury_scan tests that first.
     """
-    coeffs = np.ascontiguousarray(coeffs)
-    n = coeffs.shape[0] - 1
-    weights = mobius_weights(n)
-    star = np.zeros_like(coeffs)
-    for j in range(n + 1):
-        star += coeffs[j] * weights[j][:, None]
-    codes = routh_codes(star, tol)
-    codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
-    scale = _abs_max(coeffs)
-    codes[(scale == 0.0) | (np.abs(coeffs[n]) <= tol * scale)] = ZERO_LEADING
+    codes = np.empty(coeffs.shape[1], dtype=np.int64)
+    for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
+        _jury_block(coeffs[:, cols], tol, codes[cols])
     return codes
 
 
-def _char_poly_columns(mats):
-    """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
+def _jury_block(coeffs, tol, codes):
+    """Write jury_codes of an (n+1, count) block into codes."""
+    small_lead = _lead_scale(coeffs, tol)[1]
+    _routh_block(_mobius_block(coeffs), tol, codes)
+    codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
+    codes[small_lead] = ZERO_LEADING
 
-    Runs _char_poly_block over column blocks of the stack.
-    """
+
+def _mobius_block(coeffs):
+    """mobius_apply of each column of an (n+1, count) block."""
+    weights = mobius_weights(coeffs.shape[0] - 1)
+    star = np.zeros(coeffs.shape)
+    term = np.empty_like(star)
+    for j, row in enumerate(coeffs):
+        np.multiply(weights[j][:, None], row, out=term)
+        star += term
+    return star
+
+
+def _char_poly_blocks(mats):
+    """(cols, coeffs) for each column block of a (count, n, n) stack, where
+    coeffs is the (n+1, block) char_poly of mats[cols]."""
     count, n, _ = mats.shape
-    coeffs = np.empty((n + 1, count))
-    block = max(1, _BLOCK_BYTES // (8 * n * n))
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        _char_poly_block(mats[start:stop], coeffs[:, start:stop])
-    return coeffs
+    for cols in _column_blocks(count, max(1, _BLOCK_BYTES // (8 * n * n))):
+        yield cols, _char_poly_block(mats[cols])
 
 
-def _char_poly_block(mats, coeffs):
-    """Write char_poly of each matrix in a (count, n, n) stack into the
-    (n+1, count) array ``coeffs``.
+def _char_poly_block(mats):
+    """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
 
     Products accumulate over l in ascending order and traces over the
     diagonal in ascending order, both from zero, as in char_poly; matmul,
@@ -372,6 +426,7 @@ def _char_poly_block(mats, coeffs):
     """
     count, n, _ = mats.shape
     a = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    coeffs = np.empty((n + 1, count))
     coeffs[n] = 1.0
     m = np.zeros_like(a)
     for i in range(n):
@@ -392,6 +447,7 @@ def _char_poly_block(mats, coeffs):
     for l in range(n):
         diag += a[:, l] * m[l]
     coeffs[0] = -_ascending_sum(diag) / n
+    return coeffs
 
 
 def _ascending_sum(terms):
@@ -404,7 +460,10 @@ def _ascending_sum(terms):
 
 def batch_matrix_halfplane(mats, tol):
     """Eigenvalues with Re < 0 per matrix, via char_poly + routh_scan."""
-    return routh_codes(_char_poly_columns(mats), tol)
+    codes = np.empty(mats.shape[0], dtype=np.int64)
+    for cols, coeffs in _char_poly_blocks(mats):
+        _routh_block(coeffs, tol, codes[cols])
+    return codes
 
 
 def batch_pencil_disk(mats, radii, tol):
@@ -417,14 +476,18 @@ def batch_pencil_disk(mats, radii, tol):
     conditioned, and r is never divided by.
     """
     n = mats.shape[1]
-    coeffs = _char_poly_columns(mats)
-    scaled = np.empty_like(coeffs)
-    f = np.ones_like(radii)
-    for t in range(n, -1, -1):
-        scaled[t] = coeffs[n - t] * f
-        f = f * radii
-    outside = jury_codes(scaled, tol)
-    return np.where(outside < 0, outside, n - outside)
+    codes = np.empty(mats.shape[0], dtype=np.int64)
+    for cols, coeffs in _char_poly_blocks(mats):
+        r = radii[cols]
+        scaled = np.empty_like(coeffs)
+        f = np.ones_like(r)
+        for t in range(n, -1, -1):
+            scaled[t] = coeffs[n - t] * f
+            f = f * r
+        outside = codes[cols]
+        _jury_block(scaled, tol, outside)
+        np.subtract(n, outside, out=outside, where=outside >= 0)
+    return codes
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ METHODS = ("rh", "eigen", "auto")
 AUTO_EIGEN_MIN_N = 11
 
 
+def validate_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer; numpy integers count,
+    bool does not."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelFamily:
     """One of the four sampled families at a fixed dimension/order n.
@@ -45,8 +52,7 @@ class ModelFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if not isinstance(self.n, Integral) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        validate_integer("n", self.n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelFamily, batch_indices
+from .models import METHODS, ModelFamily, batch_indices, validate_integer
 from .polyroot import DEFAULT_TOL, validate_tol
 
 # Fixed documented default so that command-line examples reproduce exactly.
@@ -50,6 +50,10 @@ class EstimationConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        for name in ("samples", "shards", "seed"):
+            validate_integer(name, getattr(self, name))
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 1 <= self.shards <= self.samples:

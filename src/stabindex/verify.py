@@ -28,14 +28,30 @@ _MEAN_MAX_N = 6
 _MAX_N = 10
 
 
+# The mean-index check's 4-sigma bound must be under this share of n/2, or
+# a mean that far off target would still pass.
+_MEAN_POWER_SHARE = 0.25
+
+
 @dataclass
 class CheckResult:
+    """One check's verdict.  A skipped check had too few samples to fail; it
+    is neither a pass (passed is False) nor a failure."""
+
     name: str
     passed: bool
     detail: str
+    skipped: bool = False
 
     def __str__(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+        verdict = "SKIP" if self.skipped else "PASS" if self.passed else "FAIL"
+        return f"[{verdict}] {self.name}: {self.detail}"
+
+
+def _too_few(name: str, samples: int, bound: str, floor: int) -> CheckResult:
+    return CheckResult(
+        name, False, f"{samples} samples: {bound}; needs >= {floor}", skipped=True
+    )
 
 
 # Oracle family -> (RNG substream offset, what its index counts).  Each
@@ -160,15 +176,21 @@ def check_orthant_determinant(
     samples: int = 1_000_000, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """P(U,V,S,T > 0 and UT - SV > 0) = 1/32 for independent standard
-    normals, checked by direct Monte Carlo within 4 sigma."""
+    normals, checked by direct Monte Carlo within 4 sigma.  Skipped unless
+    the bound is below 1/32 itself (497 samples or more): an estimate of 0
+    would pass otherwise."""
+    name = "orthant determinant probability 1/32"
+    target = 1.0 / 32.0
+    bound = 4.0 * math.sqrt(target * (1 - target) / samples)
+    if bound >= target:
+        floor = math.floor(16.0 * (1 - target) / target) + 1
+        return _too_few(name, samples, f"4-sigma bound {bound:.1e} is not below 1/32", floor)
     rng = shard_stream(seed, _QUADRANT_KEY)
     u, v, s, t = rng.standard_normal((4, samples))
     hits = (u > 0) & (v > 0) & (s > 0) & (t > 0) & (u * t - s * v > 0)
     est = float(hits.mean())
-    target = 1.0 / 32.0
-    bound = 4.0 * math.sqrt(target * (1 - target) / samples)
     return CheckResult(
-        "orthant determinant probability 1/32",
+        name,
         abs(est - target) <= bound,
         f"estimate {est:.6f} vs 1/32 = {target:.6f} (4-sigma bound {bound:.1e})",
     )
@@ -179,7 +201,14 @@ def check_mean_index(
 ) -> CheckResult:
     """Mean index n/2 for the three symmetric families, within
     4 sqrt(n/samples).  Not asserted for disc-sys, whose distribution is
-    not symmetric."""
+    not symmetric.  Skipped unless the bound is under _MEAN_POWER_SHARE of
+    n/2 at every order checked; n = 1 needs the most samples (over 1024)."""
+    name = "mean index n/2 (symmetric families)"
+    bound = 4.0 * math.sqrt(1 / samples)
+    if bound >= _MEAN_POWER_SHARE * 0.5:
+        floor = math.floor((8.0 / _MEAN_POWER_SHARE) ** 2) + 1
+        detail = f"4-sigma bound {bound:.2f} at n=1 is not under {_MEAN_POWER_SHARE} of n/2"
+        return _too_few(name, samples, detail, floor)
     worst_ratio = 0.0
     detail = ""
     ok = True
@@ -200,7 +229,7 @@ def check_mean_index(
                 ok = ok and ratio <= 1.0
     except EstimationAbort as abort:
         ok, detail = False, f"aborted: {abort}"
-    return CheckResult("mean index n/2 (symmetric families)", ok, detail)
+    return CheckResult(name, ok, detail)
 
 
 def check_determinism(samples: int = 10_000, seed: int = DEFAULT_SEED) -> CheckResult:

@@ -224,6 +224,52 @@ class TestVerify:
         )
         assert code == 0 and "error:" not in err
 
+    def test_too_few_samples_skip_statistical_checks(self, capsys):
+        # at 2 samples the orthant and mean-index bounds exceed the values
+        # they test, so those checks could not fail: SKIP, not PASS
+        code, out, err = run_cli(
+            capsys, "verify", "--samples", "2", "--oracle-polys", "1"
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("[SKIP]")] == [
+            "[SKIP] orthant determinant probability 1/32",
+            "[SKIP] mean index n/2 (symmetric families)",
+        ]
+        assert "[FAIL]" not in out
+        assert lines[-1] == "9/11 checks passed, 2 skipped"
+
+    def test_power_floors(self):
+        from stabindex.verify import check_mean_index, check_orthant_determinant
+
+        # 4 sqrt(p(1-p)/N) < p = 1/32 from N = 497
+        assert check_orthant_determinant(496).skipped
+        assert not check_orthant_determinant(497).skipped
+        # 4 sqrt(1/N) under a quarter of n/2 at n = 1 from N = 1025
+        assert check_mean_index(1024).skipped
+        assert not check_mean_index(1025).skipped
+
+    @pytest.mark.parametrize(
+        "last, code, summary",
+        [(True, 0, "1/2 checks passed, 1 skipped"), (False, 3, "0/2 checks passed, 1 skipped")],
+    )
+    def test_skip_is_neither_pass_nor_failure(self, capsys, monkeypatch, last, code, summary):
+        monkeypatch.setattr(
+            cli.verify_suite,
+            "run_all",
+            lambda **kw: [
+                CheckResult("few", False, "too few samples", skipped=True),
+                CheckResult("stub", last, "forced"),
+            ],
+        )
+        got, out, _ = run_cli(capsys, "verify")
+        assert got == code
+        assert out.splitlines() == [
+            "[SKIP] few: too few samples",
+            f"[{'PASS' if last else 'FAIL'}] stub: forced",
+            summary,
+        ]
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1")
         assert code == 1 and out == ""

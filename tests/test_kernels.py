@@ -50,7 +50,7 @@ def _scalar_codes(kind, n, params):
         polys = [kernels.char_poly(m) for m in _matrices(kind, n, params)]
         # the batch char_poly must match the scalar one bit for bit
         np.testing.assert_array_equal(
-            kernels._char_poly_columns(_matrices(kind, n, params)).T.view(np.int64),
+            kernels._char_poly_block(_matrices(kind, n, params)).T.view(np.int64),
             np.array(polys).reshape(-1, n + 1).view(np.int64),
         )
         if kind == "cont-sys":
@@ -163,11 +163,11 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
                     )
             if kind in ("cont-sys", "disc-sys"):
                 mats = _matrices(kind, n, params)
-                polys = kernels._char_poly_columns(mats).view(np.int64)
+                polys = kernels._char_poly_block(mats).view(np.int64)
                 for layout, arr in _layouts(mats).items():
                     np.testing.assert_array_equal(
-                        kernels._char_poly_columns(arr).view(np.int64), polys,
-                        err_msg=f"_char_poly_columns {layout} n={n}",
+                        kernels._char_poly_block(arr).view(np.int64), polys,
+                        err_msg=f"_char_poly_block {layout} n={n}",
                     )
     assert {ZERO_PIVOT, BOUNDARY_ROOT} <= seen
     assert counted.fallbacks, "no row reached the all-zero-row fallback"
@@ -178,32 +178,23 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
     """A stack of two char-poly blocks plus a remainder gives, bit for bit,
     what the kernels give on slices that each fit in one block, and the
     scalar char_poly on the rows either side of every block edge."""
-    sizes = []
+    made = []
     block_kernel = kernels._char_poly_block
 
-    def recording_block(mats, coeffs):
-        sizes.append(mats.shape[0])
-        block_kernel(mats, coeffs)
+    def recording_block(mats):
+        coeffs = block_kernel(mats)
+        made.append(coeffs)
+        return coeffs
 
     monkeypatch.setattr(kernels, "_char_poly_block", recording_block)
     block = kernels._BLOCK_BYTES // (8 * n * n)
     rows = 2 * block + 37
     params = _draws("disc-sys", n, rows, integer=False)
     mats = _matrices("disc-sys", n, params)
-    polys = kernels._char_poly_columns(mats)
-    assert sizes == [block, block, 37]
     edges = np.array([block, 2 * block])
-
     cuts = np.arange(0, rows, 1 + block // 3)[1:]
     assert not set(cuts) & set(edges)
-    sliced = [kernels._char_poly_columns(m) for m in np.split(mats, cuts)]
-    np.testing.assert_array_equal(
-        polys.view(np.int64), np.concatenate(sliced, axis=1).view(np.int64)
-    )
-    for row in np.concatenate([edges - 1, edges]):
-        np.testing.assert_array_equal(
-            polys[:, row].view(np.int64), kernels.char_poly(mats[row]).view(np.int64)
-        )
+    sliced = [block_kernel(m) for m in np.split(mats, cuts)]
 
     def halfplane(p):
         return kernels.batch_matrix_halfplane(_matrices("disc-sys", n, p), TOL)
@@ -212,8 +203,79 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
         return kernels.batch_pencil_disk(_matrices("disc-sys", n, p), np.abs(p[:, 0]), TOL)
 
     for codes in (halfplane, pencil):
+        made.clear()
+        whole = codes(params)
+        assert [c.shape[1] for c in made] == [block, block, 37], codes.__name__
+        polys = np.concatenate(made, axis=1)
+        np.testing.assert_array_equal(
+            polys.view(np.int64), np.concatenate(sliced, axis=1).view(np.int64)
+        )
+        for row in np.concatenate([edges - 1, edges]):
+            np.testing.assert_array_equal(
+                polys[:, row].view(np.int64), kernels.char_poly(mats[row]).view(np.int64)
+            )
         by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
-        np.testing.assert_array_equal(codes(params), by_slice, err_msg=codes.__name__)
+        np.testing.assert_array_equal(whole, by_slice, err_msg=codes.__name__)
+
+
+# Integer columns placed on each side of every scan-block edge.
+EDGE_COLUMNS = 32
+
+
+@pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
+def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
+    """Two scan blocks plus a remainder give, bit for bit, the scalar scan on
+    the columns either side of every block edge and what the kernel gives on
+    slices that each fit in one block.  The columns at the edges are integer
+    draws in {-2..2}, so ZERO_PIVOT, ZERO_LEADING and the all-zero-row
+    fallback to routh_scan all fall there."""
+    sizes = []
+    block_kernel = kernels._routh_block
+
+    def recording_block(coeffs, tol, codes):
+        sizes.append(coeffs.shape[1])
+        block_kernel(coeffs, tol, codes)
+
+    monkeypatch.setattr(kernels, "_routh_block", recording_block)
+    kernel = kernels.routh_codes if kind == "cont-eq" else kernels.jury_codes
+    scalar = kernels.routh_scan if kind == "cont-eq" else kernels.jury_scan
+    seen = set()
+    for n in range(1, 11):
+        block = kernels._scan_width(n)
+        rows = 2 * block + 37
+        edges = np.array([block, 2 * block])
+        near = np.concatenate([np.arange(e - EDGE_COLUMNS, e + EDGE_COLUMNS) for e in edges])
+        params = _draws(kind, n, rows, integer=False)
+        params[near] = _draws(kind, n, near.size, integer=True)
+        coeffs = params.T[::-1]
+
+        sizes.clear()
+        codes = counted(kernel, coeffs, TOL)
+        assert sizes == [block, block, 37], f"n={n}"
+        expected = [scalar(np.ascontiguousarray(coeffs[:, col]), TOL) for col in near]
+        np.testing.assert_array_equal(codes[near], expected, err_msg=f"n={n}")
+        seen.update(codes[near].tolist())
+
+        cuts = np.arange(0, rows, 1 + block // 3)[1:]
+        assert not set(cuts) & set(edges)
+        by_slice = np.concatenate([kernel(c, TOL) for c in np.split(coeffs, cuts, axis=1)])
+        np.testing.assert_array_equal(codes, by_slice, err_msg=f"n={n}")
+    assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT} <= seen
+    assert counted.fallbacks, "no edge column reached the all-zero-row fallback"
+
+
+@pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
+def test_scan_working_set_is_blocked(kind):
+    """A whole n = 4 chunk allocates less than its input's bytes: no working
+    array of the Routh or Jury scan spans the chunk."""
+    params = _draws(kind, 4, CHUNK, integer=False)
+    tracemalloc.start()
+    try:
+        _batch_codes(kind, 4, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])

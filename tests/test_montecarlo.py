@@ -238,3 +238,20 @@ class TestConfigValidation:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             EstimationConfig(ModelFamily("cont-eq", 1), 10, -4)
+
+    @pytest.mark.parametrize("field", ["samples", "shards", "seed"])
+    @pytest.mark.parametrize("value", [True, 100.5, 2.0, "3", None])
+    def test_non_integer_is_rejected(self, field, value):
+        args = {"samples": 10, "seed": 0, "shards": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EstimationConfig(ModelFamily("cont-eq", 1), **args)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = EstimationConfig(
+            ModelFamily("cont-eq", 1), np.int64(10), np.uint32(5), shards=np.int8(2)
+        )
+        assert run_estimation(cfg).samples == 10
+
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            EstimationConfig(ModelFamily("cont-eq", 1), 10, 0, method="bogus")
