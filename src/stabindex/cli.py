@@ -94,6 +94,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> _Parser:
+    """The parser, built on first use and kept: the test suite and the
+    benchmark call main many times in one process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def _vector_json(vec) -> dict:
     return {
         "source": vec.source,
@@ -262,9 +274,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "convergence":

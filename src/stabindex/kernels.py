@@ -12,10 +12,12 @@ API behind polyroot.  Their sums and matrix products are explicit loops,
 and that floating-point order fixes every histogram bit for bit.  The batch
 kernels that the Monte Carlo layer calls run the same recurrences over a
 whole chunk of samples at once, column by column, in the same order.
+char_poly takes O(n^3) flops: Householder reduction to Hessenberg form,
+then La Budde's recurrence.
 """
 
 from functools import lru_cache
-from math import comb
+from math import comb, copysign, sqrt
 
 import numpy as np
 
@@ -220,31 +222,63 @@ def jury_scan(coeffs, tol):
 def char_poly(a):
     """Monic characteristic polynomial det(xI - a), ascending coefficients.
 
-    Trace recurrence: M_1 = A, c_k = -tr(A M_{k-1} + c_{k-1} A)/k accumulated
-    iteratively.
+    O(n^3): Householder reduction to upper Hessenberg form H, then La
+    Budde's recurrence over the characteristic polynomials p_i of H's
+    leading i x i blocks (R. Rehman and I. C. F. Ipsen, "La Budde's method
+    for computing characteristic polynomials", 2011).  For column k the
+    reflector I - tau v v^T, with alpha = |x| over x = H[k+1:, k],
+    s = copysign(alpha, x[0]), v = x + s e_0 and
+    tau = 1 / (alpha (alpha + |x[0]|)), maps x to -s e_0; tau = 0 where
+    that denominator is 0, so a zero subcolumn is left as it is.  Every
+    sum runs in ascending index order from its first term, and
+    _char_poly_block replays these float operations column by column.
     """
     n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    m = np.eye(n)
-    am = np.zeros((n, n))
-    for k in range(1, n + 1):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += a[i, l] * m[l, j]
-                am[i, j] = s
-        tr = 0.0
-        for i in range(n):
-            tr += am[i, i]
-        c = -tr / k
-        coeffs[n - k] = c
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = am[i, j]
-            m[i, i] += c
-    return coeffs
+    h = a.tolist()
+    for k in range(n - 2):
+        m = n - k - 1
+        x0 = h[k + 1][k]
+        ss = x0 * x0
+        for i in range(k + 2, n):
+            ss += h[i][k] * h[i][k]
+        alpha = sqrt(ss)
+        s = copysign(alpha, x0)
+        denom = alpha * (alpha + abs(x0))
+        tau = 1.0 / denom if denom != 0.0 else 0.0
+        v = [x0 + s] + [h[i][k] for i in range(k + 2, n)]
+        vt = [vi * tau for vi in v]
+        h[k + 1][k] = -s
+        for i in range(k + 2, n):
+            h[i][k] = 0.0
+        # left update of rows and columns k+1..: H -= (tau v) (v^T H)
+        for j in range(k + 1, n):
+            w = h[k + 1][j] * v[0]
+            for i in range(1, m):
+                w += h[k + 1 + i][j] * v[i]
+            for i in range(m):
+                h[k + 1 + i][j] -= vt[i] * w
+        # right update of all rows, columns k+1..: H -= (H v) (tau v)^T
+        for row in h:
+            u = row[k + 1] * v[0]
+            for j in range(1, m):
+                u += row[k + 1 + j] * v[j]
+            for j in range(m):
+                row[k + 1 + j] -= u * vt[j]
+    # p_{i+1} = (x - H[i, i]) p_i - sum_m H[i-m, i] H[i, i-1] ... H[i-m+1, i-m] p_{i-m}
+    polys = [[1.0]]
+    for i in range(n):
+        old = polys[i]
+        d = h[i][i]
+        new = [-(d * old[0])] + [old[j - 1] - d * old[j] for j in range(1, i + 1)] + [1.0]
+        prod = 1.0
+        for m in range(1, i + 1):
+            prod *= h[i - m + 1][i - m]
+            coef = h[i - m][i] * prod
+            low = polys[i - m]
+            for j in range(i - m + 1):
+                new[j] -= coef * low[j]
+        polys.append(new)
+    return np.array(polys[n])
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +308,23 @@ def char_poly(a):
 # 10k-row cont-eq n=4 call and 658 for disc-eq, and the blocked ones take
 # none.  _SCAN_COLUMNS caps the width at n <= 2, where the per-column
 # vectors (thresholds, indices, pivot signs) would otherwise outgrow what
-# malloc keeps between blocks.  The char-poly recurrence holds four
-# (n, n, block) arrays of _BLOCK_BYTES each (1820 rows at n = 6, 7281 at
-# n = 3), which keeps its working set in cache, and each block's
-# coefficients are scanned as soon as they are made, so no coefficient
-# array spans the chunk.
+# malloc keeps between blocks.  The char-poly kernel reduces an
+# (n, n, block) copy of each block in place and forms each Householder
+# update's products in one (n, n-1, block) temporary, so a few large numpy
+# calls do each step and the two-thread shards overlap in them.  With
+# La Budde's store it holds at most 2n^2 + 3n + 3 float rows, which
+# _char_poly_width keeps within _CHAR_POLY_BYTES (2818 rows at n = 6, 8738
+# at n = 3); numpy's iterator buffers, under 128 KiB whatever the width,
+# come on top.  At 2 MiB the blocks hold about what the trace recurrence's
+# four 512 KiB arrays did, so a sharded run's peak RSS stays where it was.
+# 3 MiB blocks made the kernel alone faster, but not the sharded benchmark
+# reliably, and grew the peak RSS by about 1.3 MB per shard.
+# Each block's coefficients are scanned as soon as they are made, so no
+# coefficient array spans the chunk.
 
 _SCAN_BYTES = 120 << 10
 _SCAN_COLUMNS = 4096
-_BLOCK_BYTES = 1 << 19
+_CHAR_POLY_BYTES = 2 << 20
 
 
 def _column_blocks(count, width):
@@ -294,6 +336,14 @@ def _column_blocks(count, width):
 def _scan_width(n):
     """Columns per block of the degree-n Routh and Jury scans."""
     return max(1, min(_SCAN_COLUMNS, _SCAN_BYTES // (8 * (n + 1))))
+
+
+def _char_poly_width(n):
+    """Columns per block of the degree-n char-poly kernel: the stack and
+    the larger of its two phases' working arrays take at most 2n^2 + 3n + 3
+    float rows (_hessenberg_block, _la_budde_block), which stay within
+    _CHAR_POLY_BYTES."""
+    return max(1, _CHAR_POLY_BYTES // (8 * (2 * n * n + 3 * n + 3)))
 
 
 def _abs_max(cols):
@@ -412,50 +462,117 @@ def _char_poly_blocks(mats):
     """(cols, coeffs) for each column block of a (count, n, n) stack, where
     coeffs is the (n+1, block) char_poly of mats[cols]."""
     count, n, _ = mats.shape
-    for cols in _column_blocks(count, max(1, _BLOCK_BYTES // (8 * n * n))):
+    for cols in _column_blocks(count, _char_poly_width(n)):
         yield cols, _char_poly_block(mats[cols])
 
 
 def _char_poly_block(mats):
     """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
 
-    Products accumulate over l in ascending order and traces over the
-    diagonal in ascending order, both from zero, as in char_poly; matmul,
-    einsum and trace would reorder or fuse those additions.  The last
-    product feeds only the trace, so only its diagonal is formed.
+    Sums run in the same ascending order, from their first term, as in
+    char_poly; matmul, einsum and .sum would reorder or fuse those
+    additions.  The stack is copied to (n, n, count), so the reduction
+    runs in place without touching mats.
     """
     count, n, _ = mats.shape
-    a = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    coeffs = np.empty((n + 1, count))
-    coeffs[n] = 1.0
-    m = np.zeros_like(a)
+    h = np.array(mats.transpose(1, 2, 0), order="C")
+    _hessenberg_block(h)
+    return _la_budde_block(h)
+
+
+def _hessenberg_block(h):
+    """Reduce an (n, n, count) stack in place to upper Hessenberg form.
+
+    Each step forms the products of a whole update in one (rows, m, count)
+    temporary and sums them row by row.  It holds n^2 + n + 2 rows besides
+    the stack: n(n-1) of products, n of sums, n - 1 of tau v and three
+    per-column vectors.
+    """
+    n, _, count = h.shape
+    prods = np.empty((n, n - 1, count))
+    sums = np.empty((n, count))
+    scaled = np.empty((n - 1, count))
+    alpha, s, tau = np.empty((3, count))
+    for k in range(n - 2):
+        m = n - k - 1
+        v = h[k + 1 :, k]  # x, then the reflector's v, then H's column k
+        sq = sums[:m]
+        np.multiply(v, v, out=sq)
+        np.copyto(alpha, sq[0])
+        for i in range(1, m):
+            np.add(alpha, sq[i], out=alpha)
+        np.sqrt(alpha, out=alpha)
+        np.copysign(alpha, v[0], out=s)
+        denom = sums[0]
+        np.abs(v[0], out=denom)
+        np.add(alpha, denom, out=denom)
+        np.multiply(alpha, denom, out=denom)
+        tau.fill(0.0)
+        np.divide(1.0, denom, out=tau, where=denom != 0.0)
+        np.add(v[0], s, out=v[0])
+        vt = scaled[:m]
+        np.multiply(v, tau, out=vt)
+        # left update of rows and columns k+1..: H -= (tau v) (v^T H)
+        rows = h[k + 1 :, k + 1 :]
+        t, w = prods[:m, :m], sums[:m]
+        np.multiply(rows, v[:, None], out=t)
+        np.copyto(w, t[0])
+        for i in range(1, m):
+            np.add(w, t[i], out=w)
+        np.multiply(vt[:, None], w, out=t)
+        np.subtract(rows, t, out=rows)
+        # right update of all rows, columns k+1..: H -= (H v) (tau v)^T
+        cols = h[:, k + 1 :]
+        t, u = prods[:, :m], sums
+        np.multiply(cols, v, out=t)
+        np.copyto(u, t[:, 0])
+        for j in range(1, m):
+            np.add(u, t[:, j], out=u)
+        np.multiply(u[:, None], vt, out=t)
+        np.subtract(cols, t, out=cols)
+        np.negative(s, out=v[0])
+        v[1:] = 0.0
+
+
+def _la_budde_block(h):
+    """The (n+1, count) characteristic polynomials of an upper Hessenberg
+    (n, n, count) stack, by La Budde's recurrence; h's strict upper
+    triangle is overwritten with the recurrence's coefficients.
+
+    p_0..p_{n-1} go into a triangular store of (i+1, count) arrays, p_n
+    into the result.  It holds n(n+1)/2 + 3n rows besides the stack: the
+    store, n + 1 of result, n of products and n - 1 of subdiagonal
+    products.
+    """
+    n, _, count = h.shape
+    flat = h.reshape(n * n, count)
+    sub = flat[n :: n + 1]  # sub[i - 1] = h[i, i - 1]
+    # beta[i - 1] = h[i, i-1] h[i-1, i-2] ... h[i-m+1, i-m] after step m,
+    # and the m-th superdiagonal h[i-m, i] becomes h[i-m, i] beta[i - 1]
+    beta = np.array(sub)
+    for m in range(1, n):
+        if m > 1:
+            np.multiply(beta[m - 1 :], sub[: n - m], out=beta[m - 1 :])
+        sup = flat[m :: n + 1][: n - m]
+        np.multiply(sup, beta[m - 1 :], out=sup)
+    del beta
+    store = np.empty((n * (n + 1) // 2, count))
+    polys = [store[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(n)]
+    polys.append(np.empty((n + 1, count)))
+    polys[0][0] = 1.0
+    term = np.empty((n, count))
     for i in range(n):
-        m[i, i] = 1.0
-    am = np.empty_like(a)
-    term = np.empty_like(a)
-    for k in range(1, n):
-        am.fill(0.0)
-        for l in range(n):
-            np.multiply(a[:, l, None], m[None, l], out=term)
-            am += term
-        c = -_ascending_sum(am[i, i] for i in range(n)) / k
-        coeffs[n - k] = c
-        m, am = am, m
-        for i in range(n):
-            m[i, i] += c
-    diag = np.zeros((n, count))
-    for l in range(n):
-        diag += a[:, l] * m[l]
-    coeffs[0] = -_ascending_sum(diag) / n
-    return coeffs
-
-
-def _ascending_sum(terms):
-    """terms[0] + terms[1] + ..., added in order starting from +0.0."""
-    total = 0.0
-    for t in terms:
-        total = total + t
-    return total
+        # p_{i+1} = (x - h[i, i]) p_i - sum_m coef[i-m, i] p_{i-m}, m = 1..i
+        old, new = polys[i], polys[i + 1]
+        np.multiply(h[i, i], old, out=new[: i + 1])
+        np.subtract(old[:i], new[1 : i + 1], out=new[1 : i + 1])
+        np.negative(new[0], out=new[0])
+        new[i + 1] = 1.0
+        for m in range(1, i + 1):
+            low, t = polys[i - m], term[: i - m + 1]
+            np.multiply(h[i - m, i], low, out=t)
+            np.subtract(new[: i - m + 1], t, out=new[: i - m + 1])
+    return polys[n]
 
 
 def batch_matrix_halfplane(mats, tol):

@@ -18,14 +18,17 @@ FAMILY_KINDS = ("cont-sys", "cont-eq", "disc-sys", "disc-eq")
 METHODS = ("rh", "eigen", "auto")
 
 # "auto" takes the sign-scan route (characteristic polynomial + Routh scan)
-# below this order and batched eigenvalues from it on.  The switch is for
-# speed and certification, not conditioning.  Through n = 10, the orders
-# verify's oracle checks for the matrix families, the scan is the faster
-# route for every family and agrees with eigenvalues on every row both
-# certify.  Its O(n^4) trace recurrence loses its lead over LAPACK for the
-# matrix families by n = 12, and at high order the scan stops certifying:
-# it calls rows indeterminate rather than miscounting them, but for
-# cont-sys at n = 22 that already exceeds the estimation's 1e-3 budget.
+# below this order and batched eigenvalues from it on.  Through n = 10, the
+# orders verify's oracle checks for the matrix families, the scan agrees
+# with eigenvalues on every row both certify.  Speed no longer argues for
+# the switch: with the O(n^3) characteristic polynomial the scan is ahead of
+# LAPACK for the matrix families at every order measured, 4.9x at cont-sys
+# n = 12 and 2.4x at n = 20 (32768 samples, one thread).  Certification
+# still does: at high order the scan calls rows indeterminate rather than
+# miscounting them, and for cont-sys at n = 22 that already exceeds the
+# estimation's 1e-3 budget (28 of 5000 rows).  Moving the switch changes
+# the reports at every order it passes, so it stays here until each
+# family's certification limit is measured.
 AUTO_EIGEN_MIN_N = 11
 
 
@@ -88,10 +91,11 @@ def resolve_method(family: ModelFamily, method: str) -> str:
 def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det(xI - m), ascending coefficients.
 
-    Trace-recurrence evaluation in O(n^4) flops.  By n = 12 batched
-    eigenvalues are as fast, and at high n the coefficients lose enough
-    accuracy that the sign scan stops certifying rows; that is why "auto"
-    leaves this route from AUTO_EIGEN_MIN_N on.
+    Householder reduction to Hessenberg form, then La Budde's recurrence:
+    O(n^3) flops, several times faster than batched eigenvalues at n = 12.
+    At high n the coefficients lose enough accuracy that the sign scan
+    stops certifying rows; that, not speed, is why "auto" leaves this route
+    from AUTO_EIGEN_MIN_N on.
     """
     a = np.ascontiguousarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:

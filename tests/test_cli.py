@@ -381,3 +381,30 @@ def test_python_m_stabindex_runs_the_cli(capsys):
     assert proc.stdout == out
     bad = run_module("estimate", "--family", "cont-eq", "--n", "0")
     assert bad.returncode == 1 and bad.stderr.startswith("error: ")
+
+
+def test_parser_is_built_once_and_parses_as_a_fresh_one(capsys, monkeypatch):
+    """main builds its parser on the first call only, and a usage error, an
+    estimate and a convergence run through it print the same bytes and exit
+    codes as through a parser built for each call."""
+    calls = [
+        ("estimate", "--family", "bogus", "--n", "3"),
+        ("estimate", "--family", "cont-sys", "--n", "3", "--samples", "2000", "--format", "json"),
+        ("convergence", "--family", "disc-eq", "--n", "2", "--k", "2", "--grid", "100,1000"),
+    ]
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    kept = [run_cli(capsys, *argv) for argv in calls]
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+    assert kept[0][2].startswith("error: argument --family")

