@@ -26,7 +26,6 @@ from .montecarlo import (
 )
 from .polyroot import DEFAULT_TOL, validate_tol
 from .refine import nonneg_repair
-from . import verify as verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -258,6 +257,8 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
     validate_tol(args.tol)
+    from . import verify as verify_suite  # only this subcommand needs it
+
     results = verify_suite.run_all(
         samples=args.samples,
         seed=args.seed,

@@ -311,20 +311,22 @@ def char_poly(a):
 # malloc keeps between blocks.  The char-poly kernel reduces an
 # (n, n, block) copy of each block in place and forms each Householder
 # update's products in one (n, n-1, block) temporary, so a few large numpy
-# calls do each step and the two-thread shards overlap in them.  With
-# La Budde's store it holds at most 2n^2 + 3n + 3 float rows, which
-# _char_poly_width keeps within _CHAR_POLY_BYTES (2818 rows at n = 6, 8738
-# at n = 3); numpy's iterator buffers, under 128 KiB whatever the width,
-# come on top.  At 2 MiB the blocks hold about what the trace recurrence's
-# four 512 KiB arrays did, so a sharded run's peak RSS stays where it was.
-# 3 MiB blocks made the kernel alone faster, but not the sharded benchmark
-# reliably, and grew the peak RSS by about 1.3 MB per shard.
+# calls do each step.  With La Budde's store it holds at most 2n^2 + 3n + 3
+# float rows, which _char_poly_width keeps within _CHAR_POLY_BYTES (5637
+# rows at n = 6, 2250 at n = 10); numpy's iterator buffers, under 128 KiB
+# whatever the width, come on top.  The width is set by the interpreter
+# lock, not by memory: a block makes over 200 numpy calls at n = 6 whatever
+# its width, and each call releases and retakes the lock, so two thread
+# shards overlap only while the calls are long.  On a 2-core VM two threads
+# ran the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at
+# 5637 (4 MiB).  4 MiB is the largest budget at which a CHUNK-row n = 6
+# call still allocates less than its input.
 # Each block's coefficients are scanned as soon as they are made, so no
 # coefficient array spans the chunk.
 
 _SCAN_BYTES = 120 << 10
 _SCAN_COLUMNS = 4096
-_CHAR_POLY_BYTES = 2 << 20
+_CHAR_POLY_BYTES = 4 << 20
 
 
 def _column_blocks(count, width):
@@ -590,7 +592,10 @@ def batch_pencil_disk(mats, radii, tol):
     sum_t c_{n-t} r^{n-t} y^t has its roots at y = r/x, so its unit-disk
     count is the number of eigenvalues outside radius r.  This keeps the
     leading coefficient at det-scale instead of r^n, so small radii stay well
-    conditioned, and r is never divided by.
+    conditioned, and r is never divided by.  At r = 0 that polynomial is
+    c_0 y^n alone, whose own scale passes any rounding residue of det A, so
+    c_0 is tested against the unscaled coefficients instead: a ~0 det A
+    makes the pencil 0 x - A singular, with no count (ZERO_LEADING).
     """
     n = mats.shape[1]
     codes = np.empty(mats.shape[0], dtype=np.int64)
@@ -604,6 +609,10 @@ def batch_pencil_disk(mats, radii, tol):
         outside = codes[cols]
         _jury_block(scaled, tol, outside)
         np.subtract(n, outside, out=outside, where=outside >= 0)
+        if not r.all():
+            zero = np.flatnonzero(r == 0.0)
+            c = coeffs.take(zero, axis=1)
+            outside[zero[np.abs(c[0]) <= tol * _abs_max(c)]] = ZERO_LEADING
     return codes
 
 

@@ -7,7 +7,7 @@ order or chunk size, and a shorter run is a prefix of a longer one.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,12 +172,23 @@ def run_estimation(cfg: EstimationConfig) -> IndexHistogram:
     if cfg.shards == 1:
         total = run_shard(cfg, 0)
     else:
-        with ThreadPoolExecutor() as pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # more threads than cores only trade the interpreter lock
+        with ThreadPoolExecutor(max_workers=min(cfg.shards, _usable_cores())) as pool:
             parts = list(pool.map(lambda s: run_shard(cfg, s), range(cfg.shards)))
         total = parts[0]
         for part in parts[1:]:
             total = merge(total, part)
     return _within_budget(total)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _within_budget(hist: IndexHistogram) -> IndexHistogram:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabindex import cli
+from stabindex import cli, verify
 from stabindex.verify import CheckResult
 
 
@@ -255,7 +255,7 @@ class TestVerify:
     )
     def test_skip_is_neither_pass_nor_failure(self, capsys, monkeypatch, last, code, summary):
         monkeypatch.setattr(
-            cli.verify_suite,
+            verify,
             "run_all",
             lambda **kw: [
                 CheckResult("few", False, "too few samples", skipped=True),
@@ -283,7 +283,7 @@ class TestVerify:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.verify_suite,
+            verify,
             "run_all",
             lambda **kw: [CheckResult("stub", False, "forced failure")],
         )

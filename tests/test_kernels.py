@@ -30,6 +30,8 @@ INTEGER_ROWS = 150
 def _pencil(row, coeffs):
     n = coeffs.shape[0] - 1
     b = abs(row[0])
+    if b == 0.0 and abs(coeffs[0]) <= TOL * kernels._scale(coeffs, n + 1):
+        return ZERO_LEADING  # det A ~ 0: the pencil 0 x - A is singular
     f = 1.0
     scaled = np.empty(n + 1)
     for t in range(n, -1, -1):
@@ -280,6 +282,24 @@ def test_structured_stacks_match_scalar_and_eigenvalues(kind):
                 assert (codes == expected).all(), f"n={n}"
 
 
+def test_zero_radius_pencils_need_a_regular_matrix():
+    """b = 0 leaves the pencil 0 x - A.  With a singular A it is singular
+    and has no count, although La Budde's recurrence leaves det A as a
+    rounding residue, not an exact 0; with a regular A no eigenvalue lies
+    inside radius 0.  Integer A in {-2..2} give both kinds."""
+    seen = set()
+    for n in DEGREES["disc-sys"]:
+        params = _draws("disc-sys", n, INTEGER_ROWS, integer=True)
+        params[:, 0] = 0.0
+        codes = _batch_codes("disc-sys", n, params)
+        np.testing.assert_array_equal(codes, _scalar_codes("disc-sys", n, params))
+        singular = np.round(np.linalg.det(_matrices("disc-sys", n, params))) == 0.0
+        expected = np.where(singular, ZERO_LEADING, 0)
+        np.testing.assert_array_equal(codes, expected, err_msg=f"n={n}")
+        seen.update(singular.tolist())
+    assert seen == {False, True}
+
+
 def test_char_poly_width_bounds_the_block_peak():
     """One n = 6 block of _char_poly_width(6) rows allocates no more than
     _CHAR_POLY_BYTES, the budget the width is derived from."""
@@ -292,6 +312,26 @@ def test_char_poly_width_bounds_the_block_peak():
     finally:
         tracemalloc.stop()
     assert peak <= kernels._CHAR_POLY_BYTES, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
+def test_char_poly_chunk_takes_few_blocks(kind, monkeypatch):
+    """A CHUNK-row n = 6 call makes at most 3 char-poly blocks.  Each block
+    makes over 200 numpy calls whatever its width, and each call releases
+    and retakes the interpreter lock; narrower blocks shorten the calls
+    until two thread shards spend their time trading the lock instead of
+    overlapping (2818-column blocks ran two threads no faster than one)."""
+    blocks = []
+    block_kernel = kernels._char_poly_block
+
+    def counting_block(mats):
+        blocks.append(mats.shape[0])
+        return block_kernel(mats)
+
+    monkeypatch.setattr(kernels, "_char_poly_block", counting_block)
+    _batch_codes(kind, 6, _draws(kind, 6, CHUNK, integer=False))
+    assert sum(blocks) == CHUNK
+    assert len(blocks) <= 3, f"{len(blocks)} blocks of {blocks[0]} columns"
 
 
 # Integer columns placed on each side of every scan-block edge.

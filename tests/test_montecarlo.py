@@ -1,6 +1,7 @@
 """Estimation runs: determinism, sharding, frequency math and the
 indeterminate-fraction abort."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -107,6 +108,30 @@ class TestDeterminism:
             acc = merge(acc, part)
         assert np.array_equal(acc.counts, whole.counts)
         assert acc.samples == whole.samples == 10_000
+
+    @pytest.mark.parametrize("cores", [3, 16])
+    def test_pool_is_no_wider_than_the_cores(self, monkeypatch, cores):
+        """Threads beyond the cores only trade the interpreter lock, so
+        the pool is min(shards, cores) wide; the histogram is still the
+        shard-ordered merge of all eight substreams."""
+        widths = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        cfg = EstimationConfig(ModelFamily("cont-sys", 3), 8_000, 17, shards=8)
+        whole = run_estimation(cfg)
+        assert widths == [min(8, cores)]
+        acc = run_shard(cfg, 0)
+        for s in range(1, cfg.shards):
+            acc = merge(acc, run_shard(cfg, s))
+        assert np.array_equal(acc.counts, whole.counts)
+        assert acc.indeterminate == whole.indeterminate
+        assert acc.samples == whole.samples == 8_000
 
 
 class TestAgainstKnownValues:
