@@ -293,10 +293,10 @@ def char_poly(a):
 #
 # Every working array is C-contiguous, so that axis is the contiguous one.
 # Coefficient columns arrive as transposed views: the scans gather their
-# Routh rows from them in C order, and select columns with np.take /
-# np.compress on axis 1, because advanced or boolean indexing on axis 1
-# returns Fortran order, on which each lockstep step strides across the
-# samples at several times the cost.
+# Routh rows from them in C order and run every column to the last row, so
+# no working array is ever indexed by column.  Advanced or boolean indexing
+# on axis 1 would return Fortran order, on which each lockstep step strides
+# across the samples at several times the cost.
 #
 # Every kernel runs over column blocks of its chunk (_column_blocks), which
 # only split the sample axis, so no sample's float operations change.  The
@@ -306,9 +306,11 @@ def char_poly(a):
 # chunk-wide array is mapped fresh on every call instead, and faults its
 # pages in one by one: the unblocked scans took 476 minor faults per
 # 10k-row cont-eq n=4 call and 658 for disc-eq, and the blocked ones take
-# none.  _SCAN_COLUMNS caps the width at n <= 2, where the per-column
-# vectors (thresholds, indices, pivot signs) would otherwise outgrow what
-# malloc keeps between blocks.  The char-poly kernel reduces an
+# none.  _SCAN_COLUMNS caps the width at n <= 2, where a block's Routh
+# rows, Moebius image, thresholds and running minima would otherwise
+# outgrow what malloc keeps between blocks: on uncapped 7680-column blocks
+# a warm 10k-row n = 1 jury_codes call took 58 to 88 minor faults, and on
+# 4096-column blocks none.  The char-poly kernel reduces an
 # (n, n, block) copy of each block in place and forms each Householder
 # update's products in one (n, n-1, block) temporary, so a few large numpy
 # calls do each step.  With La Budde's store it holds at most 2n^2 + 3n + 3
@@ -355,16 +357,6 @@ def _abs_max(cols):
     return np.fmax.reduce(np.abs(cols, order="C"), axis=0, initial=0.0)
 
 
-def _lead_scale(coeffs, tol):
-    """Per column of (n+1, count) coefficients: the threshold tol * max |c|
-    and whether the leading coefficient is ~0 (at or below it, or all ~0)."""
-    thr = _abs_max(coeffs)
-    small = thr == 0.0
-    thr *= tol
-    small |= np.abs(coeffs[-1]) <= thr
-    return thr, small
-
-
 def routh_codes(coeffs, tol):
     """routh_scan of each column of an (n+1, count) ascending-coefficient array."""
     codes = np.empty(coeffs.shape[1], dtype=np.int64)
@@ -376,64 +368,56 @@ def routh_codes(coeffs, tol):
 def _routh_block(coeffs, tol, codes):
     """Write routh_codes of an (n+1, count) block into codes.
 
-    All columns step through the Routh array in lockstep.  A column leaves
-    the working set when its pivot is ~0: as ZERO_PIVOT or, when the whole
-    row is ~0, through routh_scan itself, which repairs the even divisor.
-    Three buffers rotate through the roles prev, cur and nxt.
+    Every column steps through the Routh array to its last row in lockstep,
+    keeping its pivot signs and the least |pivot| it meets, leading
+    coefficient included; a NaN pivot makes that minimum NaN.  A column
+    whose minimum is not above tol * max |c| met a ~0 leading coefficient,
+    a ~0 pivot or an all-zero row, so its later rows, divided by that
+    pivot, mean nothing (inf or NaN where it is 0): its code is
+    routh_scan's own.  Every other column saw routh_scan's float operations
+    in routh_scan's order.  Three buffers rotate through the roles prev,
+    cur and nxt.
     """
     n = coeffs.shape[0] - 1
-    thr, small = _lead_scale(coeffs, tol)
-    codes.fill(ZERO_LEADING)
-    idx = np.flatnonzero(~small)
-    if n == 0:
-        codes[idx] = 0
-        return
-    rows = coeffs
-    if idx.size < small.size:
-        rows, thr = coeffs.take(idx, axis=1), thr[idx]
-    prev = np.array(rows[n::-2], order="C")
+    thr = _abs_max(coeffs)
+    thr *= tol
+    prev = np.array(coeffs[::-2], order="C")
     cur = np.zeros_like(prev)
-    cur[: (n + 1) // 2] = rows[n - 1 :: -2]
+    cur[: (n + 1) // 2] = coeffs[-2::-2]
     nxt = np.empty_like(prev)
-    signs = np.empty((n + 1, idx.size), dtype=bool)  # pivot signs, row by row
+    least = np.abs(prev[0])
+    signs = np.empty((n + 1, coeffs.shape[1]), dtype=bool)  # pivot signs, row by row
     np.greater(prev[0], 0.0, out=signs[0])
-    for step in range(1, n + 1):  # cur holds the row of degree n - step
-        # nxt holds |cur| until the step's arithmetic overwrites it
-        if not (np.abs(cur[0], out=nxt[0]) > thr).all():
-            np.abs(cur[1:], out=nxt[1:])
-            allzero = ~(nxt > thr).any(axis=0)
-            dead = allzero | (nxt[0] <= thr)
-            for col in idx[allzero]:
-                codes[col] = routh_scan(coeffs[:, col], tol)
-            codes[idx[dead & ~allzero]] = ZERO_PIVOT
-            keep = ~dead
-            idx, thr = idx[keep], thr[keep]
-            prev, cur = prev.compress(keep, axis=1), cur.compress(keep, axis=1)
-            signs = signs.compress(keep, axis=1)
-            nxt = np.empty_like(prev)
-        np.greater(cur[0], 0.0, out=signs[step])
-        if step == n:
-            break
-        # nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv; prev[1:] holds
-        # top * cur[1:] once piv * prev[1:] is taken
-        piv = cur[0]
-        np.multiply(piv, prev[1:], out=nxt[:-1])
-        np.multiply(prev[0], cur[1:], out=prev[1:])
-        np.subtract(nxt[:-1], prev[1:], out=nxt[:-1])
-        np.divide(nxt[:-1], piv, out=nxt[:-1])
-        nxt[-1] = 0.0
-        prev, cur, nxt = cur, nxt, prev
+    with np.errstate(all="ignore"):
+        for step in range(1, n + 1):  # cur holds the row of degree n - step
+            np.greater(cur[0], 0.0, out=signs[step])
+            np.minimum(least, np.abs(cur[0], out=nxt[0]), out=least)
+            if step == n:
+                break
+            # nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv; prev[1:]
+            # holds top * cur[1:] once piv * prev[1:] is taken
+            piv = cur[0]
+            np.multiply(piv, prev[1:], out=nxt[:-1])
+            np.multiply(prev[0], cur[1:], out=prev[1:])
+            np.subtract(nxt[:-1], prev[1:], out=nxt[:-1])
+            np.divide(nxt[:-1], piv, out=nxt[:-1])
+            nxt[-1] = 0.0
+            prev, cur, nxt = cur, nxt, prev
     del prev, cur, nxt  # free the Routh rows before counting sign changes
-    codes[idx] = n - np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    codes[:] = n - np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    for col in np.flatnonzero(~(least > thr)):
+        codes[col] = routh_scan(coeffs[:, col], tol)
 
 
 def jury_codes(coeffs, tol):
     """jury_scan of each column of an (n+1, count) ascending-coefficient array.
 
-    Every column's Moebius image goes through _routh_block, whose
-    ZERO_LEADING (a degree drop: the input vanishes at x = 1) becomes
-    BOUNDARY_ROOT.  Columns whose own leading coefficient is ~0 are then
-    overwritten with ZERO_LEADING, as jury_scan tests that first.
+    Every column's Moebius image goes through _routh_block, so an image
+    that meets a ~0 or NaN pivot takes routh_scan's code, as in
+    routh_codes.  Its ZERO_LEADING (a degree drop: the input vanishes at
+    x = 1) becomes BOUNDARY_ROOT.  Columns whose own leading coefficient is
+    ~0 are then overwritten with ZERO_LEADING, as jury_scan tests that
+    first.
     """
     codes = np.empty(coeffs.shape[1], dtype=np.int64)
     for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
@@ -443,7 +427,8 @@ def jury_codes(coeffs, tol):
 
 def _jury_block(coeffs, tol, codes):
     """Write jury_codes of an (n+1, count) block into codes."""
-    small_lead = _lead_scale(coeffs, tol)[1]
+    scale = _abs_max(coeffs)
+    small_lead = (scale == 0.0) | (np.abs(coeffs[-1]) <= tol * scale)
     _routh_block(_mobius_block(coeffs), tol, codes)
     codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
     codes[small_lead] = ZERO_LEADING

@@ -114,19 +114,32 @@ def counted(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_normal_draws_stay_vectorised(kind, counted):
+    """A CHUNK of normal draws at each n = 1..10 meets no ~0 pivot, so the
+    batch scan hands none of its columns to routh_scan: a threshold that
+    sent healthy columns there would keep every code and lose the speed."""
+    for n in range(1, 11):
+        counted(_batch_codes, kind, n, _draws(kind, n, CHUNK, integer=False))
+        assert not counted.fallbacks, f"n={n}: {len(counted.fallbacks)} columns"
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_degenerate_draws_match_scalar(kind, counted):
-    """Integer draws in {-2..2} hit every indeterminate code and the
-    all-zero Routh rows that the batch kernel hands to routh_scan."""
+    """Integer draws in {-2..2} hit every indeterminate code and the ~0
+    pivots and all-zero Routh rows that the batch kernel hands to
+    routh_scan.  Those columns carry inf and NaN through the rest of their
+    block, which must not raise for a caller that made numpy raise."""
     seen = set()
     for n in DEGREES[kind]:
         params = _draws(kind, n, INTEGER_ROWS, integer=True)
-        batch = counted(_batch_codes, kind, n, params)
+        with np.errstate(all="raise"):
+            batch = counted(_batch_codes, kind, n, params)
         np.testing.assert_array_equal(batch, _scalar_codes(kind, n, params), err_msg=f"n={n}")
         seen.update(batch.tolist())
     # a characteristic polynomial is monic, so cont-sys never has a ~0 lead
     expected = {ZERO_PIVOT, BOUNDARY_ROOT} | ({ZERO_LEADING} if kind != "cont-sys" else set())
     assert expected <= seen
-    assert counted.fallbacks, "no row reached the all-zero-row fallback"
+    assert counted.fallbacks, "no row reached the routh_scan fallback"
 
 
 def _layouts(a):
@@ -153,8 +166,8 @@ def _layout_cases(kind, n, params):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_codes_do_not_depend_on_input_layout(kind, counted):
     """C-ordered, Fortran-ordered and negatively strided inputs give the
-    scalar codes; integer rows take the ZERO_PIVOT compaction and the
-    all-zero-row fallback from every layout."""
+    scalar codes; integer rows send their ~0-pivot and all-zero-row columns
+    to routh_scan from every layout."""
     seen = set()
     for n in DEGREES[kind]:
         for integer in (False, True):
@@ -175,7 +188,7 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
                         err_msg=f"_char_poly_block {layout} n={n}",
                     )
     assert {ZERO_PIVOT, BOUNDARY_ROOT} <= seen
-    assert counted.fallbacks, "no row reached the all-zero-row fallback"
+    assert counted.fallbacks, "no row reached the routh_scan fallback"
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -343,8 +356,8 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
     """Two scan blocks plus a remainder give, bit for bit, the scalar scan on
     the columns either side of every block edge and what the kernel gives on
     slices that each fit in one block.  The columns at the edges are integer
-    draws in {-2..2}, so ZERO_PIVOT, ZERO_LEADING and the all-zero-row
-    fallback to routh_scan all fall there."""
+    draws in {-2..2}, so ZERO_PIVOT, ZERO_LEADING and all-zero rows, each
+    handed to routh_scan, all fall there."""
     sizes = []
     block_kernel = kernels._routh_block
 
@@ -377,7 +390,7 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
         by_slice = np.concatenate([kernel(c, TOL) for c in np.split(coeffs, cuts, axis=1)])
         np.testing.assert_array_equal(codes, by_slice, err_msg=f"n={n}")
     assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT} <= seen
-    assert counted.fallbacks, "no edge column reached the all-zero-row fallback"
+    assert counted.fallbacks, "no edge column reached the routh_scan fallback"
 
 
 @pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
@@ -451,18 +464,63 @@ def test_has_nonneg_real_root_degenerate_is_true(d):
     assert kernels.has_nonneg_real_root(np.array(d))
 
 
-def test_non_finite_rows_match_scalar():
-    params = np.array([
+def _mixed_columns(n, rng):
+    """Ascending coefficient columns of degree n: four ordinary normal draws,
+    then columns with a ~0 leading coefficient, an isolated ~0 pivot
+    (n >= 3) and an all-zero Routh row, both repairable and on the axis."""
+    def ascending(*factors):
+        poly = np.ones(1)
+        for f in factors:
+            poly = np.convolve(poly, f)
+        return poly[::-1]  # the factors are written highest degree first
+
+    cols = list(rng.standard_normal((4, n + 1)))
+    lead = rng.standard_normal(n + 1)
+    lead[n] = 0.0
+    cols += [lead, np.zeros(n + 1)]
+    if n >= 3:  # x^n + x^(n-2) + ... + 1: the row of degree n - 1 starts with 0
+        cols.append(np.r_[np.ones(n - 1), 0.0, 1.0])
+    # the even divisors x^2 - 4 (repaired to a count), x^2 + 1 and x (on the axis)
+    rest = [[1.0, 1.0]] * (n - 2)
+    if n >= 2:
+        cols += [ascending([1.0, 0.0, -4.0], *rest), ascending([1.0, 0.0, 1.0], *rest)]
+    cols.append(ascending([1.0, 0.0], *[[1.0, 2.0]] * (n - 1)))
+    return np.array(cols).T
+
+
+def test_constructed_blocks_match_scalar():
+    """routh_codes and jury_codes equal routh_scan and jury_scan column by
+    column on NaN and infinite coefficients at n = 3, on a degree-0 block
+    of 0.0, -0.0, NaN, -inf and ordinary constants, and on one block per
+    degree 1..8 whose ordinary columns run beside ZERO_LEADING, ZERO_PIVOT
+    and all-zero-row ones."""
+    non_finite = np.array([
         [1.0, np.nan, 2.0, 3.0],
         [np.nan, 1.0, 2.0, 3.0],
         [np.nan, np.nan, np.nan, np.nan],
         [1.0, np.inf, 2.0, 3.0],
         [1.0, 2.0, 3.0, 4.0],
-    ])
-    for kind in ("cont-eq", "disc-eq"):
-        np.testing.assert_array_equal(
-            _batch_codes(kind, 3, params), _scalar_codes(kind, 3, params)
-        )
+    ]).T[::-1]
+    constants = np.array([[0.0, -0.0, np.nan, 1.0, -2.5, 1e-300, -np.inf]])
+    rng = np.random.default_rng(8)
+    blocks = [(3, non_finite), (0, constants)] + [(n, _mixed_columns(n, rng)) for n in range(1, 9)]
+    seen = set()
+    for n, coeffs in blocks:
+        cols = [np.ascontiguousarray(c) for c in coeffs.T]
+        for kernel, scalar in ((kernels.routh_codes, kernels.routh_scan),
+                               (kernels.jury_codes, kernels.jury_scan)):
+            expected = [scalar(c, TOL) for c in cols]
+            np.testing.assert_array_equal(
+                kernel(coeffs, TOL), expected, err_msg=f"{kernel.__name__} n={n}"
+            )
+        codes = kernels.routh_codes(coeffs, TOL)
+        if coeffs is constants:
+            assert codes.tolist() == [ZERO_LEADING] * 3 + [0] * 3 + [ZERO_LEADING]
+        elif coeffs is not non_finite:
+            assert min(codes[:4]) >= 0 and (ZERO_PIVOT in codes) == (n >= 3), f"n={n}"
+            seen.update(codes.tolist())
+    # x^2 - 4 times (x + 1)^(n-2) is repaired to n - 1 roots with Re < 0
+    assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT, 1, 7} <= seen
 
 
 def test_empty_chunk():
