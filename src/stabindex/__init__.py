@@ -19,13 +19,20 @@ from .constraints import (
     relation_strings,
 )
 from .models import (
+    DEFAULT_TOL,
     FAMILY_KINDS,
     METHODS,
     ModelFamily,
+    RootCount,
     batch_indices,
     char_poly,
+    companion_matrix,
+    eigen_region_count,
     index_from_params,
+    jury_count,
+    mobius_star,
     resolve_method,
+    routh_hurwitz_count,
     sample_index,
 )
 from .montecarlo import (
@@ -41,15 +48,6 @@ from .montecarlo import (
     run_estimation,
     run_shard,
     shard_stream,
-)
-from .polyroot import (
-    DEFAULT_TOL,
-    RootCount,
-    companion_matrix,
-    eigen_region_count,
-    jury_count,
-    mobius_star,
-    routh_hurwitz_count,
 )
 from .refine import RepairFailed, least_squares_refine, nonneg_repair
 

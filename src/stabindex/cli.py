@@ -15,7 +15,7 @@ import math
 import sys
 
 from .constraints import build_constraints, exact_probabilities, relation_strings
-from .models import FAMILY_KINDS, METHODS, ModelFamily
+from .models import DEFAULT_TOL, FAMILY_KINDS, METHODS, ModelFamily, validate_tol
 from .montecarlo import (
     DEFAULT_SEED,
     EstimationAbort,
@@ -24,7 +24,6 @@ from .montecarlo import (
     frequencies,
     run_estimation,
 )
-from .polyroot import DEFAULT_TOL, validate_tol
 from .refine import nonneg_repair
 
 EXIT_OK = 0

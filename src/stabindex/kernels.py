@@ -7,11 +7,11 @@ coefficient.
 Root-count results are integer codes: ``k >= 0`` is a definite count, and
 the negative constants below are the indeterminate verdicts.  The scalar
 kernels (routh_scan, jury_scan, char_poly) are plain Python over one
-polynomial or matrix; they are the reference implementation and the public
-API behind polyroot.  Their sums and matrix products are explicit loops,
-and that floating-point order fixes every histogram bit for bit.  The batch
-kernels that the Monte Carlo layer calls run the same recurrences over a
-whole chunk of samples at once, column by column, in the same order.
+polynomial or matrix; they are the reference implementation behind the
+per-sample API in models.  Their sums and matrix products are explicit
+loops, and that floating-point order fixes every histogram bit for bit.
+The batch kernels that the Monte Carlo layer calls run the same recurrences
+over a whole chunk of samples at once, column by column, in the same order.
 char_poly takes O(n^3) flops: Householder reduction to Hessenberg form,
 then La Budde's recurrence.
 """
@@ -300,17 +300,17 @@ def char_poly(a):
 #
 # Every kernel runs over column blocks of its chunk (_column_blocks), which
 # only split the sample axis, so no sample's float operations change.  The
-# Routh and Jury scans take blocks whose (n+1, block) arrays stay under
-# _SCAN_BYTES, below glibc's default 128 KiB mmap threshold: malloc serves
-# them from its heap and hands the same pages to the next block.  A
-# chunk-wide array is mapped fresh on every call instead, and faults its
-# pages in one by one: the unblocked scans took 476 minor faults per
-# 10k-row cont-eq n=4 call and 658 for disc-eq, and the blocked ones take
-# none.  _SCAN_COLUMNS caps the width at n <= 2, where a block's Routh
-# rows, Moebius image, thresholds and running minima would otherwise
-# outgrow what malloc keeps between blocks: on uncapped 7680-column blocks
-# a warm 10k-row n = 1 jury_codes call took 58 to 88 minor faults, and on
-# 4096-column blocks none.  The char-poly kernel reduces an
+# equation families' scans (routh_codes, jury_codes) take blocks whose
+# (n+1, block) arrays stay under _SCAN_BYTES, below glibc's default 128 KiB
+# mmap threshold: malloc serves them from its heap and hands the same pages
+# to the next block.  A chunk-wide array is mapped fresh on every call
+# instead, and faults its pages in one by one: the unblocked scans took 476
+# minor faults per 10k-row cont-eq n=4 call and 658 for disc-eq, and the
+# blocked ones take none.  _SCAN_COLUMNS caps the width at n <= 2, where a
+# block's Routh rows, Moebius image, thresholds and running minima would
+# otherwise outgrow what malloc keeps between blocks: on uncapped
+# 7680-column blocks a warm 10k-row n = 1 jury_codes call took 58 to 88
+# minor faults, and on 4096-column blocks none.  The char-poly kernel reduces an
 # (n, n, block) copy of each block in place and forms each Householder
 # update's products in one (n, n-1, block) temporary, so a few large numpy
 # calls do each step.  With La Budde's store it holds at most 2n^2 + 3n + 3
@@ -323,8 +323,9 @@ def char_poly(a):
 # ran the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at
 # 5637 (4 MiB).  4 MiB is the largest budget at which a CHUNK-row n = 6
 # call still allocates less than its input.
-# Each block's coefficients are scanned as soon as they are made, so no
-# coefficient array spans the chunk.
+# Each char-poly block's coefficients are scanned whole as soon as they are
+# made, so no coefficient array spans the chunk; these scans are not held to
+# _SCAN_BYTES.
 
 _SCAN_BYTES = 120 << 10
 _SCAN_COLUMNS = 4096

@@ -1,18 +1,33 @@
-"""The four random model families and the stability index of one sample.
+"""The stability index of one sample: root counts by region, and the four
+random model families.
 
 Every family draws its parameters as i.i.d. standard normals.  The
 stability index of a sample is the number of eigenvalues in the stable
 region: real part < 0 for the continuous families, modulus < 1 (or < |b|
 for the matrix pencil b x_{k+1} = A x_k) for the discrete ones.
+
+Counts come back as :class:`RootCount`: a definite ``Count(k)``, or an
+indeterminate verdict naming its reason, which the Monte Carlo layer counts
+rather than resolving silently.  Polynomials follow the coefficient
+convention of .kernels.  Each entry point checks its input through the one
+helper for its kind, and a NaN or infinite entry is a ValueError.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from . import kernels
-from .polyroot import DEFAULT_TOL, RootCount, validate_tol
+
+DEFAULT_TOL = 1e-12
+
+_CODE_REASONS = {
+    kernels.ZERO_PIVOT: "zero-pivot",
+    kernels.BOUNDARY_ROOT: "boundary-root",
+    kernels.ZERO_LEADING: "zero-leading-coefficient",
+}
 
 FAMILY_KINDS = ("cont-sys", "cont-eq", "disc-sys", "disc-eq")
 METHODS = ("rh", "eigen", "auto")
@@ -32,11 +47,156 @@ METHODS = ("rh", "eigen", "auto")
 AUTO_EIGEN_MIN_N = 11
 
 
+@dataclass(frozen=True)
+class RootCount:
+    """Definite root count, or an indeterminate verdict with a reason."""
+
+    count: int | None = None
+    reason: str | None = None
+
+    def __post_init__(self):
+        if (self.count is None) == (self.reason is None):
+            raise ValueError("exactly one of count/reason must be set")
+
+    @property
+    def determinate(self) -> bool:
+        return self.count is not None
+
+    @classmethod
+    def from_code(cls, code: int) -> "RootCount":
+        code = int(code)
+        if code >= 0:
+            return cls(count=code)
+        return cls(reason=_CODE_REASONS[code])
+
+    def __str__(self) -> str:
+        if self.determinate:
+            return f"Count({self.count})"
+        return f"Indeterminate({self.reason})"
+
+
 def validate_integer(name: str, value) -> None:
     """Raise ValueError unless value is an integer; numpy integers count,
     bool does not."""
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def validate_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number.
+
+    NaN and inf slip past a plain ``tol <= 0`` test and then turn every
+    sample indeterminate.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+
+
+def _as_coeffs(p) -> np.ndarray:
+    c = np.ascontiguousarray(p, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("polynomial must be a non-empty 1-D coefficient array")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    return c
+
+
+def _as_square(m) -> np.ndarray:
+    a = np.ascontiguousarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    return a
+
+
+def routh_hurwitz_count(p, tol: float = DEFAULT_TOL) -> RootCount:
+    """Count the roots of ``p`` with negative real part, with multiplicity.
+
+    The count is read off the sign changes in the first column of the Routh
+    array.  All-zero rows (even divisors with roots in +/- pairs) are
+    repaired exactly via the divisor derivative when the divisor has no
+    imaginary-axis roots; any other ~0 pivot comes back indeterminate.
+    Tolerances are relative to the largest coefficient.
+    """
+    validate_tol(tol)
+    return RootCount.from_code(kernels.routh_scan(_as_coeffs(p), tol))
+
+
+def mobius_star(p) -> np.ndarray:
+    """Transform ``p`` through x = (z+1)/(z-1): sum_j p[j] (z+1)^j (z-1)^(n-j).
+
+    Roots of ``p`` inside the unit disk map to roots of the result with
+    negative real part.  The returned array always has length deg(p) + 1;
+    the leading entry is zero exactly when p(1) = 0 (degree drop).
+    Coefficients are accumulated against exact integer binomial weights.
+    """
+    return kernels.mobius_apply(_as_coeffs(p))
+
+
+def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
+    """Count the roots of ``p`` with modulus < 1, with multiplicity.
+
+    Computed as the half-plane count of ``mobius_star(p)``.  A degree drop
+    in the transformed polynomial means p(1) ~ 0, a boundary root.
+    """
+    validate_tol(tol)
+    return RootCount.from_code(kernels.jury_scan(_as_coeffs(p), tol))
+
+
+def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Companion matrix whose characteristic polynomial is ``p`` made monic.
+
+    Raises ValueError for degree 0 or a leading coefficient within tolerance
+    of zero.
+    """
+    validate_tol(tol)
+    c = _as_coeffs(p)
+    n = c.size - 1
+    if n < 1:
+        raise ValueError("companion matrix needs degree >= 1")
+    scale = np.abs(c).max()
+    if scale == 0.0 or abs(c[n]) <= tol * scale:
+        raise ValueError("zero leading coefficient")
+    comp = np.zeros((n, n))
+    comp[np.arange(n - 1), np.arange(1, n)] = 1.0
+    comp[n - 1, :] = -c[:n] / c[n]
+    return comp
+
+
+def eigen_region_count(
+    m, region: str = "left-half-plane", radius: float = 1.0, tol: float = DEFAULT_TOL
+) -> RootCount:
+    """Count eigenvalues of ``m`` strictly inside a region.
+
+    region is "left-half-plane" or "disk" (centred at 0 with ``radius``).
+    Eigenvalues within a relative tolerance of the region boundary make the
+    result indeterminate.  A LinAlgError from the eigenvalue iteration is a
+    distinct failure and propagates.
+    """
+    validate_tol(tol)
+    a = _as_square(m)
+    if region == "left-half-plane":
+        codes = kernels.eig_halfplane_codes(a[None, :, :], tol)
+    elif region == "disk":
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"disk radius must be a finite positive number, got {radius}")
+        codes = kernels.eig_disk_codes(a[None, :, :], np.array([radius]), tol)
+    else:
+        raise ValueError(f"unknown region {region!r}")
+    return RootCount.from_code(codes[0])
+
+
+def char_poly(m) -> np.ndarray:
+    """Monic characteristic polynomial det(xI - m), ascending coefficients.
+
+    Householder reduction to Hessenberg form, then La Budde's recurrence:
+    O(n^3) flops, several times faster than batched eigenvalues at n = 12.
+    At high n the coefficients lose enough accuracy that the sign scan
+    stops certifying rows; that, not speed, is why "auto" leaves this route
+    from AUTO_EIGEN_MIN_N on.
+    """
+    return kernels.char_poly(_as_square(m))
 
 
 @dataclass(frozen=True)
@@ -86,21 +246,6 @@ def resolve_method(family: ModelFamily, method: str) -> str:
     if method != "auto":
         return method
     return "rh" if family.n < AUTO_EIGEN_MIN_N else "eigen"
-
-
-def char_poly(m) -> np.ndarray:
-    """Monic characteristic polynomial det(xI - m), ascending coefficients.
-
-    Householder reduction to Hessenberg form, then La Budde's recurrence:
-    O(n^3) flops, several times faster than batched eigenvalues at n = 12.
-    At high n the coefficients lose enough accuracy that the sign scan
-    stops certifying rows; that, not speed, is why "auto" leaves this route
-    from AUTO_EIGEN_MIN_N on.
-    """
-    a = np.ascontiguousarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError("matrix must be square and non-empty")
-    return kernels.char_poly(a)
 
 
 def batch_indices(

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import METHODS, ModelFamily, batch_indices, validate_integer
-from .polyroot import DEFAULT_TOL, validate_tol
+from .models import DEFAULT_TOL, METHODS, ModelFamily, batch_indices
+from .models import validate_integer, validate_tol
 
 # Fixed documented default so that command-line examples reproduce exactly.
 DEFAULT_SEED = 20231

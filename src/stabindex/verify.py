@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import build_constraints, exact_probabilities
-from .models import AUTO_EIGEN_MIN_N, FAMILY_KINDS, ModelFamily, batch_indices
+from .models import AUTO_EIGEN_MIN_N, DEFAULT_TOL, FAMILY_KINDS, ModelFamily
+from .models import batch_indices
 from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies
-from .montecarlo import MAX_INDETERMINATE_FRACTION, run_estimation, shard_stream
-from .polyroot import DEFAULT_TOL
+from .montecarlo import run_estimation, shard_stream
 
-# Disjoint from shard spawn keys used in estimation runs.
+# Substream keys of the oracle and orthant draws.  They are disjoint from the
+# shard keys of verify's own 1- and 2-shard estimation runs.
 _ORACLE_KEY = 1001
 _QUADRANT_KEY = 1002
 
@@ -250,8 +251,9 @@ def check_determinism(samples: int = 10_000, seed: int = DEFAULT_SEED) -> CheckR
 def check_indeterminate_fraction(
     samples: int = 10_000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
-    """At the working tolerance the indeterminate share stays within the
-    estimation abort threshold for every family and order."""
+    """The indeterminate share stays within the estimation abort threshold
+    for every family and order; run_estimation raises EstimationAbort above
+    it, so the abort is the verdict."""
     name = "indeterminate fraction budget"
     worst = 0.0
     where = ""
@@ -267,7 +269,7 @@ def check_indeterminate_fraction(
     except EstimationAbort as abort:
         return CheckResult(name, False, f"aborted: {abort}")
     detail = f"max fraction {worst:.2e}" + (f" at {where}" if where else "")
-    return CheckResult(name, worst <= MAX_INDETERMINATE_FRACTION, detail)
+    return CheckResult(name, True, detail)
 
 
 def run_all(

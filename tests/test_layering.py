@@ -1,10 +1,12 @@
 """Module layering: each module of the package imports only modules below
-it, and nothing outside the standard library but numpy; and every layer
-boundary the benchmark traces still exists."""
+it, and nothing outside the standard library but numpy; the package exports
+each public name from the module that defines it; and every layer boundary
+the benchmark traces still exists."""
 
 import ast
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import stabindex
@@ -13,8 +15,8 @@ from stabindex import kernels
 # Lowest layer first.  The package's __init__ re-exports every layer and is
 # not part of the order.
 ORDER = [
-    "kernels", "polyroot", "models", "montecarlo", "constraints",
-    "refine", "verify", "cli", "__main__",
+    "kernels", "models", "montecarlo", "constraints", "refine", "verify",
+    "cli", "__main__",
 ]
 SRC = Path(stabindex.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,6 +69,44 @@ def test_runtime_dependency_is_numpy_only():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: imps for name, imps in foreign.items() if imps} == {}
+
+
+def _defined_names(path: Path) -> set:
+    """Names a source file defines at top level (not the ones it imports)."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_public_names_come_from_their_owners():
+    """__all__ lists exactly the public non-module names __init__ binds,
+    plus __version__, and each is imported from the module defining it."""
+    bound = {
+        name for name, value in vars(stabindex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(stabindex.__all__)) == len(stabindex.__all__)
+    assert set(stabindex.__all__) == bound | {"__version__"}
+    owners = {
+        alias.name: node.module
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert set(owners) == bound
+    misplaced = sorted(
+        name for name, module in owners.items()
+        if name not in _defined_names(SRC / f"{module}.py")
+        or getattr(importlib.import_module(f"stabindex.{module}"), name)
+        is not getattr(stabindex, name)
+    )
+    assert misplaced == []
 
 
 def _kernel_entry_points() -> set:

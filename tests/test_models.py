@@ -9,13 +9,13 @@ from stabindex.models import (
     FAMILY_KINDS,
     METHODS,
     ModelFamily,
+    RootCount,
     batch_indices,
     char_poly,
     index_from_params,
     resolve_method,
     sample_index,
 )
-from stabindex.polyroot import RootCount
 
 
 def _charpoly_cofactor(a):

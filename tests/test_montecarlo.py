@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stabindex import montecarlo
-from stabindex.models import ModelFamily
+from stabindex.models import DEFAULT_TOL, ModelFamily
 from stabindex.montecarlo import (
     EstimationAbort,
     EstimationConfig,
@@ -20,7 +20,6 @@ from stabindex.montecarlo import (
     run_estimation,
     run_shard,
 )
-from stabindex.polyroot import DEFAULT_TOL
 
 DISC_EQ_2_P2 = math.atan(math.sqrt(2.0)) / math.pi  # ~0.304087
 

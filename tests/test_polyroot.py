@@ -1,13 +1,14 @@
-"""Root counting: worked examples, indeterminate verdicts, and agreement
-with the eigenvalue oracle."""
+"""Root counting: worked examples, indeterminate verdicts, agreement with
+the eigenvalue oracle, and the input checks of the per-sample API."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabindex.polyroot import (
+from stabindex.models import (
     RootCount,
+    char_poly,
     companion_matrix,
     eigen_region_count,
     jury_count,
@@ -269,3 +270,30 @@ class TestToleranceValidation:
             eigen_region_count(np.eye(2), tol=tol)
         with pytest.raises(ValueError, match="finite positive"):
             companion_matrix([1, 1], tol=tol)
+
+
+class TestNonFiniteInput:
+    """NaN or inf anywhere in a coefficient vector or matrix is a ValueError,
+    as it is for batch_indices; unchecked, the counts called such input
+    indeterminate, the constructors returned NaN arrays and the eigenvalue
+    route raised LinAlgError."""
+
+    ENTRY_POINTS = {
+        "routh_hurwitz_count": (routh_hurwitz_count, [1.0, 2.0, 1.0]),
+        "jury_count": (jury_count, [0.25, 0.5, 1.0]),
+        "mobius_star": (mobius_star, [0.25, 0.5, 1.0]),
+        "companion_matrix": (companion_matrix, [1.0, 2.0, 1.0]),
+        "eigen_region_count": (eigen_region_count, [[-1.0, 0.5], [0.25, -2.0]]),
+        "char_poly": (char_poly, [[-1.0, 0.5], [0.25, -2.0]]),
+    }
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_is_a_value_error(self, name, bad):
+        func, good = self.ENTRY_POINTS[name]
+        func(good)
+        for index in np.ndindex(np.shape(good)):
+            arg = np.array(good)
+            arg[index] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                func(arg)
