@@ -15,7 +15,6 @@ from .constraints import (
     even_parity_sum,
     exact_probabilities,
     half_plane_sign_prob,
-    hurwitz_upper_bound,
     relation_strings,
 )
 from .models import (
@@ -78,7 +77,6 @@ __all__ = [
     "exact_probabilities",
     "frequencies",
     "half_plane_sign_prob",
-    "hurwitz_upper_bound",
     "index_from_params",
     "jury_count",
     "least_squares_refine",

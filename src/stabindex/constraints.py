@@ -52,15 +52,6 @@ def half_plane_sign_prob(sigma: float, rho: float) -> float:
     return 2.0 / math.pi * math.atan(sigma / rho)
 
 
-def hurwitz_upper_bound(n: int) -> float:
-    """Upper bound 2**-n on the probability that an order-n equation sample
-    has all roots in the left half-plane (all coefficients must share a
-    sign)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 0.5**n
-
-
 def even_parity_sum(family: ModelFamily) -> float | None:
     """Value of sum over even k of p_k when it is constrained, else None.
 

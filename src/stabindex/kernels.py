@@ -5,19 +5,19 @@ Coefficient convention: a polynomial is a 1-D float64 array with
 coefficient.
 
 Root-count results are integer codes: ``k >= 0`` is a definite count, and
-the negative constants below are the indeterminate verdicts.  The scalar
-kernels (routh_scan, jury_scan, char_poly) are plain Python over one
-polynomial or matrix; they are the reference implementation behind the
-per-sample API in models.  Their sums and matrix products are explicit
-loops, and that floating-point order fixes every histogram bit for bit.
-The batch kernels that the Monte Carlo layer calls run the same recurrences
-over a whole chunk of samples at once, column by column, in the same order.
-char_poly takes O(n^3) flops: Householder reduction to Hessenberg form,
-then La Budde's recurrence.
+the negative constants below are the indeterminate verdicts.  The batch
+kernels are the implementation: each runs its recurrence over a whole
+chunk of samples at once, column by column, and the per-sample API in
+models calls them on one column.  Their sums run in a fixed order, and
+that floating-point order fixes every histogram bit for bit; the tests
+check it against a scalar Python reference.  The one scalar recurrence
+here is routh_scan, which the batch Routh scan hands its ~0-pivot columns.
+The characteristic polynomial takes O(n^3) flops: Householder reduction to
+Hessenberg form, then La Budde's recurrence.
 """
 
 from functools import lru_cache
-from math import comb, copysign, sqrt
+from math import comb
 
 import numpy as np
 
@@ -193,99 +193,11 @@ def routh_scan(coeffs, tol):
     return n - changes
 
 
-def mobius_apply(coeffs):
-    """Expand sum_j coeffs[j] (z+1)^j (z-1)^(n-j) against mobius_weights(n)."""
-    n = coeffs.shape[0] - 1
-    weights = mobius_weights(n)
-    star = np.zeros(n + 1)
-    for j in range(n + 1):
-        for t in range(n + 1):
-            star[t] += coeffs[j] * weights[j, t]
-    return star
-
-
-def jury_scan(coeffs, tol):
-    """Number of roots with |x| < 1: conformal map to a half-plane + Routh scan.
-
-    A ~0 leading coefficient is ZERO_LEADING.  routh_scan's ZERO_LEADING for
-    the mapped polynomial is a degree drop: the input vanishes at x = 1, on
-    the disk boundary, so it becomes BOUNDARY_ROOT.
-    """
-    n = coeffs.shape[0] - 1
-    scale = _scale(coeffs, n + 1)
-    if scale == 0.0 or abs(coeffs[n]) <= tol * scale:
-        return ZERO_LEADING
-    code = routh_scan(mobius_apply(coeffs), tol)
-    return BOUNDARY_ROOT if code == ZERO_LEADING else code
-
-
-def char_poly(a):
-    """Monic characteristic polynomial det(xI - a), ascending coefficients.
-
-    O(n^3): Householder reduction to upper Hessenberg form H, then La
-    Budde's recurrence over the characteristic polynomials p_i of H's
-    leading i x i blocks (R. Rehman and I. C. F. Ipsen, "La Budde's method
-    for computing characteristic polynomials", 2011).  For column k the
-    reflector I - tau v v^T, with alpha = |x| over x = H[k+1:, k],
-    s = copysign(alpha, x[0]), v = x + s e_0 and
-    tau = 1 / (alpha (alpha + |x[0]|)), maps x to -s e_0; tau = 0 where
-    that denominator is 0, so a zero subcolumn is left as it is.  Every
-    sum runs in ascending index order from its first term, and
-    _char_poly_block replays these float operations column by column.
-    """
-    n = a.shape[0]
-    h = a.tolist()
-    for k in range(n - 2):
-        m = n - k - 1
-        x0 = h[k + 1][k]
-        ss = x0 * x0
-        for i in range(k + 2, n):
-            ss += h[i][k] * h[i][k]
-        alpha = sqrt(ss)
-        s = copysign(alpha, x0)
-        denom = alpha * (alpha + abs(x0))
-        tau = 1.0 / denom if denom != 0.0 else 0.0
-        v = [x0 + s] + [h[i][k] for i in range(k + 2, n)]
-        vt = [vi * tau for vi in v]
-        h[k + 1][k] = -s
-        for i in range(k + 2, n):
-            h[i][k] = 0.0
-        # left update of rows and columns k+1..: H -= (tau v) (v^T H)
-        for j in range(k + 1, n):
-            w = h[k + 1][j] * v[0]
-            for i in range(1, m):
-                w += h[k + 1 + i][j] * v[i]
-            for i in range(m):
-                h[k + 1 + i][j] -= vt[i] * w
-        # right update of all rows, columns k+1..: H -= (H v) (tau v)^T
-        for row in h:
-            u = row[k + 1] * v[0]
-            for j in range(1, m):
-                u += row[k + 1 + j] * v[j]
-            for j in range(m):
-                row[k + 1 + j] -= u * vt[j]
-    # p_{i+1} = (x - H[i, i]) p_i - sum_m H[i-m, i] H[i, i-1] ... H[i-m+1, i-m] p_{i-m}
-    polys = [[1.0]]
-    for i in range(n):
-        old = polys[i]
-        d = h[i][i]
-        new = [-(d * old[0])] + [old[j - 1] - d * old[j] for j in range(1, i + 1)] + [1.0]
-        prod = 1.0
-        for m in range(1, i + 1):
-            prod *= h[i - m + 1][i - m]
-            coef = h[i - m][i] * prod
-            low = polys[i - m]
-            for j in range(i - m + 1):
-                new[j] -= coef * low[j]
-        polys.append(new)
-    return np.array(polys[n])
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels over sample chunks (the Monte Carlo hot path).  Each runs its
-# scalar counterpart's recurrence over a whole chunk at once: every sample
-# sees the same float operations in the same order, so the codes match the
-# scalar kernels bit for bit.  They never see a drawn row, only what
+# recurrence over a whole chunk at once: every sample sees the same float
+# operations in the same order, whatever the chunk or its layout, so a code
+# depends on its own sample alone.  They never see a drawn row, only what
 # models.batch_indices unpacks from it: ascending coefficients as (n+1, count)
 # columns, (count, n, n) matrix stacks and length-count radii.  Inside, matrix
 # stacks become (n, n, count): one column per sample, so each numpy operation
@@ -352,7 +264,7 @@ def _char_poly_width(n):
 
 
 def _abs_max(cols):
-    """Per-column max |x|, skipping NaN as the scalar kernels' scans do.
+    """Per-column max |x|, skipping NaN as routh_scan's _scale does.
     |x| is formed in C order: on a transposed view the reduction would
     otherwise run across the contiguous axis, many times slower."""
     return np.fmax.reduce(np.abs(cols, order="C"), axis=0, initial=0.0)
@@ -411,14 +323,16 @@ def _routh_block(coeffs, tol, codes):
 
 
 def jury_codes(coeffs, tol):
-    """jury_scan of each column of an (n+1, count) ascending-coefficient array.
+    """Number of roots with |x| < 1 of each column of an (n+1, count)
+    ascending-coefficient array: the conformal map to a half-plane, then
+    the Routh scan.
 
     Every column's Moebius image goes through _routh_block, so an image
     that meets a ~0 or NaN pivot takes routh_scan's code, as in
     routh_codes.  Its ZERO_LEADING (a degree drop: the input vanishes at
-    x = 1) becomes BOUNDARY_ROOT.  Columns whose own leading coefficient is
-    ~0 are then overwritten with ZERO_LEADING, as jury_scan tests that
-    first.
+    x = 1, on the disk boundary) becomes BOUNDARY_ROOT.  Columns whose own
+    leading coefficient is ~0 are then overwritten with ZERO_LEADING,
+    whatever their image gave.
     """
     codes = np.empty(coeffs.shape[1], dtype=np.int64)
     for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
@@ -436,7 +350,9 @@ def _jury_block(coeffs, tol, codes):
 
 
 def _mobius_block(coeffs):
-    """mobius_apply of each column of an (n+1, count) block."""
+    """Each column of an (n+1, count) block c mapped through
+    x = (z+1)/(z-1): sum_j c[j] (z+1)^j (z-1)^(n-j), accumulated term by
+    term, j ascending, against mobius_weights(n)."""
     weights = mobius_weights(coeffs.shape[0] - 1)
     star = np.zeros(coeffs.shape)
     term = np.empty_like(star)
@@ -448,19 +364,27 @@ def _mobius_block(coeffs):
 
 def _char_poly_blocks(mats):
     """(cols, coeffs) for each column block of a (count, n, n) stack, where
-    coeffs is the (n+1, block) char_poly of mats[cols]."""
+    coeffs holds the (n+1, block) characteristic polynomials of mats[cols]."""
     count, n, _ = mats.shape
     for cols in _column_blocks(count, _char_poly_width(n)):
         yield cols, _char_poly_block(mats[cols])
 
 
 def _char_poly_block(mats):
-    """char_poly of each matrix in a (count, n, n) stack, as (n+1, count).
+    """Monic characteristic polynomial det(xI - a) of each matrix a in a
+    (count, n, n) stack, as (n+1, count) ascending coefficients.
 
-    Sums run in the same ascending order, from their first term, as in
-    char_poly; matmul, einsum and .sum would reorder or fuse those
-    additions.  The stack is copied to (n, n, count), so the reduction
-    runs in place without touching mats.
+    O(n^3): Householder reduction to upper Hessenberg form H, then La
+    Budde's recurrence over the characteristic polynomials p_i of H's
+    leading i x i blocks (R. Rehman and I. C. F. Ipsen, "La Budde's method
+    for computing characteristic polynomials", 2011).  For column k the
+    reflector I - tau v v^T, with alpha = |x| over x = H[k+1:, k],
+    s = copysign(alpha, x[0]), v = x + s e_0 and
+    tau = 1 / (alpha (alpha + |x[0]|)), maps x to -s e_0; tau = 0 where
+    that denominator is 0, so a zero subcolumn is left as it is.  Every
+    sum runs in ascending index order from its first term; matmul, einsum
+    and .sum would reorder or fuse those additions.  The stack is copied
+    to (n, n, count), so the reduction runs in place without touching mats.
     """
     count, n, _ = mats.shape
     h = np.array(mats.transpose(1, 2, 0), order="C")
@@ -564,7 +488,8 @@ def _la_budde_block(h):
 
 
 def batch_matrix_halfplane(mats, tol):
-    """Eigenvalues with Re < 0 per matrix, via char_poly + routh_scan."""
+    """Eigenvalues with Re < 0 per matrix, via the characteristic
+    polynomial and the Routh scan."""
     codes = np.empty(mats.shape[0], dtype=np.int64)
     for cols, coeffs in _char_poly_blocks(mats):
         _routh_block(coeffs, tol, codes[cols])
@@ -572,7 +497,8 @@ def batch_matrix_halfplane(mats, tol):
 
 
 def batch_pencil_disk(mats, radii, tol):
-    """eig_disk_codes(mats, radii, tol) via char_poly + jury_scan.
+    """eig_disk_codes(mats, radii, tol) via the characteristic polynomial
+    and the Jury scan (the Moebius map, then the Routh scan).
 
     Counted through the complement: with r = radii[i], the polynomial
     sum_t c_{n-t} r^{n-t} y^t has its roots at y = r/x, so its unit-disk

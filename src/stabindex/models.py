@@ -129,9 +129,10 @@ def mobius_star(p) -> np.ndarray:
     Roots of ``p`` inside the unit disk map to roots of the result with
     negative real part.  The returned array always has length deg(p) + 1;
     the leading entry is zero exactly when p(1) = 0 (degree drop).
-    Coefficients are accumulated against exact integer binomial weights.
+    Coefficients are accumulated against exact integer binomial weights,
+    by the batch kernel on one column.
     """
-    return kernels.mobius_apply(_as_coeffs(p))
+    return kernels._mobius_block(_as_coeffs(p)[:, None])[:, 0]
 
 
 def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
@@ -141,7 +142,7 @@ def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
     in the transformed polynomial means p(1) ~ 0, a boundary root.
     """
     validate_tol(tol)
-    return RootCount.from_code(kernels.jury_scan(_as_coeffs(p), tol))
+    return RootCount.from_code(kernels.jury_codes(_as_coeffs(p)[:, None], tol)[0])
 
 
 def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -191,12 +192,12 @@ def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det(xI - m), ascending coefficients.
 
     Householder reduction to Hessenberg form, then La Budde's recurrence:
-    O(n^3) flops, several times faster than batched eigenvalues at n = 12.
-    At high n the coefficients lose enough accuracy that the sign scan
-    stops certifying rows; that, not speed, is why "auto" leaves this route
-    from AUTO_EIGEN_MIN_N on.
+    O(n^3) flops, run by the batch kernel on a one-matrix stack.  At high
+    n the coefficients lose enough accuracy that the sign scan stops
+    certifying rows; that, not speed, is why "auto" leaves this route from
+    AUTO_EIGEN_MIN_N on.
     """
-    return kernels.char_poly(_as_square(m))
+    return kernels._char_poly_block(_as_square(m)[None])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,6 @@ from .models import batch_indices
 from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies
 from .montecarlo import run_estimation, shard_stream
 
-# Substream keys of the oracle and orthant draws.  They are disjoint from the
-# shard keys of verify's own 1- and 2-shard estimation runs.
-_ORACLE_KEY = 1001
-_QUADRANT_KEY = 1002
-
 # Highest order each sweep covers; _MAX_N is shared by the relation,
 # catalog and indeterminate-budget checks.
 _MEAN_MAX_N = 6
@@ -63,6 +58,13 @@ _ORACLE_CASES = {
     "cont-sys": (2, "cont-sys half-plane count"),
     "disc-sys": (3, "disc-sys pencil disk count"),
 }
+
+# Substream keys: each oracle family draws from _ORACLE_KEY plus its offset
+# and the orthant check from the key after the last of them, so no two
+# checks share a stream.  All are disjoint from the shard keys of verify's
+# own 1- and 2-shard estimation runs.
+_ORACLE_KEY = 1001
+_QUADRANT_KEY = _ORACLE_KEY + len(_ORACLE_CASES)
 
 
 def check_oracle(

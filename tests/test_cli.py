@@ -249,6 +249,13 @@ class TestVerify:
         assert check_mean_index(1024).skipped
         assert not check_mean_index(1025).skipped
 
+    def test_checks_draw_from_distinct_streams(self):
+        """No two of the oracle and orthant checks share a substream, whose
+        first draws they would then repeat."""
+        oracle_keys = {verify._ORACLE_KEY + offset for offset, _ in verify._ORACLE_CASES.values()}
+        assert len(oracle_keys) == len(verify._ORACLE_CASES)
+        assert verify._QUADRANT_KEY not in oracle_keys
+
     @pytest.mark.parametrize(
         "last, code, summary",
         [(True, 0, "1/2 checks passed, 1 skipped"), (False, 3, "0/2 checks passed, 1 skipped")],

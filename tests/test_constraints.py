@@ -14,7 +14,6 @@ from stabindex.constraints import (
     even_parity_sum,
     exact_probabilities,
     half_plane_sign_prob,
-    hurwitz_upper_bound,
     relation_strings,
 )
 from stabindex.models import FAMILY_KINDS, ModelFamily
@@ -206,13 +205,6 @@ class TestScalarFormulas:
     def test_sign_prob_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             half_plane_sign_prob(0.0, 1.0)
-
-    def test_attractor_bound(self):
-        assert hurwitz_upper_bound(1) == 0.5
-        assert hurwitz_upper_bound(3) == 0.125
-        assert hurwitz_upper_bound(4) == 0.0625
-        with pytest.raises(ValueError):
-            hurwitz_upper_bound(0)
 
     def test_parity_sum_values(self):
         assert even_parity_sum(ModelFamily("cont-eq", 4)) == 0.5

@@ -1,8 +1,11 @@
-"""The batch kernels against a per-row loop over the scalar kernels.
+"""The batch kernels against a per-row loop over the scalar reference.
 
-The batch kernels run the scalar recurrences column-wise over a chunk and
-must reproduce them bit for bit: every code, and every char_poly
-coefficient, equals what the scalar kernel gives for that row alone.
+The batch kernels run their recurrences column-wise over a chunk and must
+reproduce the scalar Python ones row by row, bit for bit: every code, and
+every characteristic-polynomial coefficient, equals what the scalar
+reference gives for that row alone.  The reference is routh_scan from the
+package, whose code the batch Routh scan itself hands its ~0-pivot columns,
+and char_poly, mobius_apply and jury_scan from tests/reference.py.
 """
 
 import itertools
@@ -11,10 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabindex import kernels
+from stabindex import kernels, models
 from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 from stabindex.models import FAMILY_KINDS, ModelFamily
 from stabindex.montecarlo import CHUNK
+
+from reference import char_poly, jury_scan, mobius_apply
 
 TOL = 1e-12
 # The matrix families run to n = 12, past AUTO_EIGEN_MIN_N, because
@@ -37,7 +42,7 @@ def _pencil(row, coeffs):
     for t in range(n, -1, -1):
         scaled[t] = coeffs[n - t] * f
         f *= b
-    outside = kernels.jury_scan(scaled, TOL)
+    outside = jury_scan(scaled, TOL)
     return outside if outside < 0 else n - outside
 
 
@@ -50,9 +55,9 @@ def _scalar_codes(kind, n, params):
     if kind == "cont-eq":
         codes = [kernels.routh_scan(np.ascontiguousarray(row[::-1]), TOL) for row in params]
     elif kind == "disc-eq":
-        codes = [kernels.jury_scan(np.ascontiguousarray(row[::-1]), TOL) for row in params]
+        codes = [jury_scan(np.ascontiguousarray(row[::-1]), TOL) for row in params]
     else:
-        polys = [kernels.char_poly(m) for m in _matrices(kind, n, params)]
+        polys = [char_poly(m) for m in _matrices(kind, n, params)]
         # the batch char_poly must match the scalar one bit for bit
         np.testing.assert_array_equal(
             kernels._char_poly_block(_matrices(kind, n, params)).T.view(np.int64),
@@ -230,7 +235,7 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
         )
         for row in np.concatenate([edges - 1, edges]):
             np.testing.assert_array_equal(
-                polys[:, row].view(np.int64), kernels.char_poly(mats[row]).view(np.int64)
+                polys[:, row].view(np.int64), char_poly(mats[row]).view(np.int64)
             )
         by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
         np.testing.assert_array_equal(whole, by_slice, err_msg=codes.__name__)
@@ -367,7 +372,7 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
 
     monkeypatch.setattr(kernels, "_routh_block", recording_block)
     kernel = kernels.routh_codes if kind == "cont-eq" else kernels.jury_codes
-    scalar = kernels.routh_scan if kind == "cont-eq" else kernels.jury_scan
+    scalar = kernels.routh_scan if kind == "cont-eq" else jury_scan
     seen = set()
     for n in range(1, 11):
         block = kernels._scan_width(n)
@@ -508,7 +513,7 @@ def test_constructed_blocks_match_scalar():
     for n, coeffs in blocks:
         cols = [np.ascontiguousarray(c) for c in coeffs.T]
         for kernel, scalar in ((kernels.routh_codes, kernels.routh_scan),
-                               (kernels.jury_codes, kernels.jury_scan)):
+                               (kernels.jury_codes, jury_scan)):
             expected = [scalar(c, TOL) for c in cols]
             np.testing.assert_array_equal(
                 kernel(coeffs, TOL), expected, err_msg=f"{kernel.__name__} n={n}"
@@ -521,6 +526,42 @@ def test_constructed_blocks_match_scalar():
             seen.update(codes.tolist())
     # x^2 - 4 times (x + 1)^(n-2) is repaired to n - 1 roots with Re < 0
     assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT, 1, 7} <= seen
+
+
+# Rows per order and row kind for the per-sample wrappers.
+WRAPPER_ROWS = 100
+
+
+def test_per_sample_wrappers_match_reference():
+    """models.char_poly, mobius_star and jury_count, which run the batch
+    kernels on one column, equal the scalar reference bit for bit on normal
+    and integer rows: char_poly at n = 1, 2, 3, 4, 6, 10 and 16, the others
+    at degree 0..12."""
+    seen = set()
+    for integer in (False, True):
+        rng = np.random.default_rng([16, int(integer)])
+
+        def rows(*shape):
+            if integer:
+                return rng.integers(-2, 3, size=(WRAPPER_ROWS,) + shape).astype(float)
+            return rng.standard_normal((WRAPPER_ROWS,) + shape)
+
+        for n in (1, 2, 3, 4, 6, 10, 16):
+            for m in rows(n, n):
+                np.testing.assert_array_equal(
+                    models.char_poly(m).view(np.int64), char_poly(m).view(np.int64),
+                    err_msg=f"char_poly n={n}",
+                )
+        for n in range(13):
+            for p in rows(n + 1):
+                np.testing.assert_array_equal(
+                    models.mobius_star(p).view(np.int64), mobius_apply(p).view(np.int64),
+                    err_msg=f"mobius_star n={n}",
+                )
+                code = jury_scan(p, TOL)
+                assert models.jury_count(p, TOL) == models.RootCount.from_code(code), f"n={n}"
+                seen.add(code)
+    assert {ZERO_PIVOT, BOUNDARY_ROOT, ZERO_LEADING} <= seen
 
 
 def test_empty_chunk():

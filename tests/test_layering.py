@@ -1,13 +1,17 @@
 """Module layering: each module of the package imports only modules below
-it, and nothing outside the standard library but numpy; the package exports
-each public name from the module that defines it; and every layer boundary
-the benchmark traces still exists."""
+it, and nothing outside the standard library but numpy; the tests import
+nothing pyproject.toml does not declare; the package exports each public
+name from the module that defines it; and every layer boundary the
+benchmark traces still exists."""
 
 import ast
 import importlib
+import re
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import stabindex
 from stabindex import kernels
@@ -19,7 +23,9 @@ ORDER = [
     "cli", "__main__",
 ]
 SRC = Path(stabindex.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _imports(path: Path) -> set:
@@ -62,13 +68,34 @@ def test_imports_point_down_the_order():
     assert {m: imps for m, imps in upward.items() if imps} == {}
 
 
-def test_runtime_dependency_is_numpy_only():
-    allowed = set(sys.stdlib_module_names) | {"numpy", "stabindex"}
+def _foreign_imports(paths, allowed: set) -> dict:
+    """File name -> the top-level modules it imports outside allowed, for
+    each file that imports any."""
     foreign = {
         path.name: sorted({name.split(".")[0] for name in _imports(path)} - allowed)
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(paths)
     }
-    assert {name: imps for name, imps in foreign.items() if imps} == {}
+    return {name: imps for name, imps in foreign.items() if imps}
+
+
+def test_runtime_dependency_is_numpy_only():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stabindex"}
+    assert _foreign_imports(SRC.glob("*.py"), allowed) == {}
+
+
+def test_test_dependencies_are_declared():
+    """Every module a test imports comes from the standard library, the
+    package, tests/ itself, or a requirement pyproject.toml declares: a
+    runtime dependency or the `test` extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[\w.-]+", req).group().replace("-", "_").lower()
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    allowed = (set(sys.stdlib_module_names) | {"stabindex"} | declared
+               | {path.stem for path in TESTS.glob("*.py")})
+    assert _foreign_imports(TESTS.glob("*.py"), allowed) == {}
 
 
 def _defined_names(path: Path) -> set:
