@@ -15,7 +15,8 @@ import numpy as np
 from .constraints import build_constraints, exact_probabilities
 from .models import AUTO_EIGEN_MIN_N, DEFAULT_TOL, FAMILY_KINDS, ModelFamily
 from .models import batch_indices
-from .montecarlo import DEFAULT_SEED, EstimationAbort, EstimationConfig, frequencies
+from .montecarlo import DEFAULT_SEED, MAX_INDETERMINATE_FRACTION, EstimationAbort
+from .montecarlo import EstimationConfig, frequencies
 from .montecarlo import run_estimation, shard_stream
 
 # Highest order each sweep covers; _MAX_N is shared by the relation,
@@ -50,6 +51,13 @@ def _too_few(name: str, samples: int, bound: str, floor: int) -> CheckResult:
     )
 
 
+def _power_floor(bad_rate: float) -> int:
+    """Fewest trials at which a check that fails on a single bad trial
+    catches a true rate of bad_rate with probability >= 95%, that is the
+    least N with (1 - bad_rate)**N <= 0.05."""
+    return math.ceil(math.log(0.05) / math.log1p(-bad_rate))
+
+
 # Oracle family -> (RNG substream offset, what its index counts).  Each
 # family is compared at every order "auto" sends to the sign scan.
 _ORACLE_CASES = {
@@ -77,23 +85,36 @@ def check_oracle(
     ``kind``, per_degree draws at each order: the Routh scan, the conformal
     map + Routh scan, or the char-poly route against eigenvalues of the
     companion matrix or of A itself.  Every mutually determinate pair must
-    agree."""
+    agree, so any mismatch fails.  A pass needs the power to see a 1e-3
+    mismatch rate at any one order 95% of the time: with fewer than
+    _power_floor(1e-3) = 2995 compared pairs at some order the check is
+    skipped."""
     offset, label = _ORACLE_CASES[kind]
+    name = f"{label} vs eigenvalue oracle"
     rng = shard_stream(seed, _ORACLE_KEY + offset)
     mismatched = 0
-    compared = 0
+    compared = []
     for n in range(1, AUTO_EIGEN_MIN_N):
         family = ModelFamily(kind, n)
         params = rng.standard_normal((per_degree, family.param_count))
         scan = batch_indices(family, params, "rh", tol)
         eig = batch_indices(family, params, "eigen", tol)
         both = (scan >= 0) & (eig >= 0)
-        compared += int(both.sum())
+        compared.append(int(both.sum()))
         mismatched += int((scan[both] != eig[both]).sum())
+    bad_rate = 1e-3
+    floor = _power_floor(bad_rate)
+    fewest = min(compared)
+    if mismatched == 0 and fewest < floor:
+        bound = (
+            f"fewest compared at one order, where a {bad_rate:.0e} mismatch "
+            f"rate passes {(1 - bad_rate) ** fewest:.0%} of the time"
+        )
+        return _too_few(name, fewest, bound, floor)
     return CheckResult(
-        f"{label} vs eigenvalue oracle",
+        name,
         mismatched == 0,
-        f"{mismatched} mismatches over {compared} mutually determinate samples",
+        f"{mismatched} mismatches over {sum(compared)} mutually determinate samples",
     )
 
 
@@ -255,8 +276,19 @@ def check_indeterminate_fraction(
 ) -> CheckResult:
     """The indeterminate share stays within the estimation abort threshold
     for every family and order; run_estimation raises EstimationAbort above
-    it, so the abort is the verdict."""
+    it, so the abort is the verdict.  Skipped unless a rate of 10x the
+    budget would abort 95% of the time at each family and order:
+    _power_floor(1e-2) = 299 samples, where one indeterminate sample is
+    already over budget."""
     name = "indeterminate fraction budget"
+    bad_rate = 10 * MAX_INDETERMINATE_FRACTION
+    floor = _power_floor(bad_rate)
+    if samples < floor:
+        bound = (
+            f"a {bad_rate:.0e} indeterminate rate passes "
+            f"{(1 - bad_rate) ** samples:.0%} of the time"
+        )
+        return _too_few(name, samples, bound, floor)
     worst = 0.0
     where = ""
     try:

@@ -199,7 +199,7 @@ class TestConvergence:
 class TestVerify:
     def test_passing_run(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--samples", "5000", "--oracle-polys", "500"
+            capsys, "verify", "--samples", "5000", "--oracle-polys", "3000"
         )
         assert code == 0
         assert out.count("[PASS]") == 11
@@ -225,19 +225,24 @@ class TestVerify:
         assert code == 0 and "error:" not in err
 
     def test_too_few_samples_skip_statistical_checks(self, capsys):
-        # at 2 samples the orthant and mean-index bounds exceed the values
-        # they test, so those checks could not fail: SKIP, not PASS
+        # at 2 samples and 1 oracle draw per order no statistical check has
+        # the power to fail: SKIP, not PASS
         code, out, err = run_cli(
             capsys, "verify", "--samples", "2", "--oracle-polys", "1"
         )
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert [line.split(":")[0] for line in lines if line.startswith("[SKIP]")] == [
+            "[SKIP] half-plane count vs eigenvalue oracle",
+            "[SKIP] disk count vs eigenvalue oracle",
+            "[SKIP] cont-sys half-plane count vs eigenvalue oracle",
+            "[SKIP] disc-sys pencil disk count vs eigenvalue oracle",
             "[SKIP] orthant determinant probability 1/32",
             "[SKIP] mean index n/2 (symmetric families)",
+            "[SKIP] indeterminate fraction budget",
         ]
         assert "[FAIL]" not in out
-        assert lines[-1] == "9/11 checks passed, 2 skipped"
+        assert lines[-1] == "4/11 checks passed, 7 skipped"
 
     def test_power_floors(self):
         from stabindex.verify import check_mean_index, check_orthant_determinant
@@ -248,6 +253,12 @@ class TestVerify:
         # 4 sqrt(1/N) under a quarter of n/2 at n = 1 from N = 1025
         assert check_mean_index(1024).skipped
         assert not check_mean_index(1025).skipped
+        # a 1e-3 mismatch rate at one order survives 2994 pairs with p > 0.05
+        assert verify.check_oracle("cont-eq", 2994).skipped
+        assert verify.check_oracle("cont-eq", 2995).passed
+        # a 1e-2 indeterminate rate (10x the budget) survives 298 with p > 0.05
+        assert verify.check_indeterminate_fraction(298).skipped
+        assert verify.check_indeterminate_fraction(299).passed
 
     def test_checks_draw_from_distinct_streams(self):
         """No two of the oracle and orthant checks share a substream, whose
@@ -327,7 +338,8 @@ class TestVerify:
         )
         assert code == 3 and err == ""
         lines = out.splitlines()
-        assert len(lines) == 12 and lines[-1].endswith("checks passed")
+        # the oracle checks compare too few pairs at 50 draws per order
+        assert len(lines) == 12 and lines[-1] == "5/11 checks passed, 4 skipped"
         mean = [line for line in lines if "mean index" in line]
         assert mean and mean[0].startswith("[FAIL]")
         assert "aborted: indeterminate fraction" in mean[0]

@@ -204,6 +204,7 @@ class TestConvergence:
         return rows
 
     def test_one_pass_draws_max_grid(self, monkeypatch):
+        # grid points never split a chunk: max(grid) rows in whole chunks
         drawn = []
         real = montecarlo.batch_indices
 
@@ -212,10 +213,67 @@ class TestConvergence:
             return real(family, params, method, tol)
 
         monkeypatch.setattr(montecarlo, "batch_indices", counting)
-        convergence_study(
-            ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 1_000, 10_000], seed=20231
+        chunk = montecarlo.CHUNK
+        crossing = [100, 1_000, chunk - 1, chunk, chunk + 1, 40_000]
+        for grid in ([100, 1_000, 10_000], crossing):
+            drawn.clear()
+            convergence_study(
+                ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, grid, seed=20231
+            )
+            assert sum(drawn) == max(grid)
+            assert len(drawn) == math.ceil(max(grid) / chunk)
+
+    @staticmethod
+    def _fresh_histogram(cfg, size):
+        # one fresh draw of the whole prefix, counted without the chunk loop
+        params = montecarlo.shard_stream(cfg.seed, 0).standard_normal(
+            (size, cfg.family.param_count)
         )
-        assert sum(drawn) == 10_000
+        codes = montecarlo.batch_indices(cfg.family, params, cfg.method, cfg.tol)
+        counts = np.bincount(codes[codes >= 0], minlength=cfg.family.n + 1)
+        return counts.tolist(), int((codes < 0).sum())
+
+    def test_interleaved_runs_on_one_thread(self):
+        """Two runs that alternate on one thread share its draw buffer; each
+        yields the histograms of its own run.  The wider run draws first, so
+        the narrower one redraws the same buffer before the wider run yields
+        its sizes inside that chunk: a histogram read from the buffer after
+        its chunk's codes exist would differ."""
+        chunk = montecarlo.CHUNK
+        wide = EstimationConfig(ModelFamily("cont-sys", 3), 16_385, 7)
+        narrow = EstimationConfig(ModelFamily("disc-eq", 2), 20_000, 20231)
+        runs = [
+            (wide, [3, 7_000, chunk, chunk + 1]),
+            (narrow, [100, 5_000, chunk, 20_000]),
+        ]
+        gens = [montecarlo._prefix_histograms(cfg, 0, sizes) for cfg, sizes in runs]
+        got = [[], []]
+        for step in range(8):
+            got[step % 2].append(next(gens[step % 2]))
+        for (cfg, sizes), hists in zip(runs, got):
+            assert [h.samples for h in hists] == sizes
+            for hist in hists:
+                want = self._fresh_histogram(cfg, hist.samples)
+                assert (hist.counts.tolist(), hist.indeterminate) == want
+
+    def test_buffered_draws_equal_fresh_draws(self):
+        """Draws through the per-thread buffer equal a fresh draw bit for bit
+        while the buffer grows and shrinks, later blocks reuse its memory,
+        and another thread draws into its own buffer."""
+        blocks = []
+        for shard, (rows, width) in enumerate([(16_384, 36), (100, 3), (9_000, 5)]):
+            got = montecarlo._draw(montecarlo.shard_stream(20231, shard), rows, width)
+            want = montecarlo.shard_stream(20231, shard).standard_normal((rows, width))
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            blocks.append(got)
+        assert np.shares_memory(blocks[0], blocks[1])
+        assert np.shares_memory(blocks[0], blocks[2])
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(
+                montecarlo._draw, montecarlo.shard_stream(20231, 9), 100, 3
+            ).result()
+        assert not np.shares_memory(other, blocks[0])
 
     @pytest.mark.parametrize("kind, n, k", [("disc-eq", 2, 2), ("cont-sys", 3, 0)])
     def test_rows_equal_separate_runs(self, kind, n, k):
@@ -242,6 +300,8 @@ class TestConvergence:
             convergence_study(
                 ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 0], seed=20231
             )
+        with pytest.raises(ValueError, match="grid is empty"):
+            convergence_study(ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [], seed=20231)
 
     def test_requires_finite_exact(self):
         with pytest.raises(ValueError):
