@@ -12,6 +12,7 @@ least-squares refinement consumes.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .montecarlo import ProbabilityVector
 # integers, so anything below this is a true zero.
 _RREF_EPS = 1e-9
 
+# Distinct (family, pinned set) systems kept per process; a repair adds at
+# most n + 1 pin sets to its family's unpinned one.
+_SYSTEMS_KEPT = 256
+
 
 class InconsistentConstraints(ValueError):
     """The relation set (typically after pinning entries to zero) admits no
@@ -31,7 +36,8 @@ class InconsistentConstraints(ValueError):
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Affine parametrization p = design . q + offset of the probability
-    vector by its free entries q = p[free]."""
+    vector by its free entries q = p[free].  The sample-independent state
+    below is computed on first use and kept with the system."""
 
     family: ModelFamily
     free: tuple
@@ -42,6 +48,50 @@ class ConstraintSystem:
     @property
     def n(self) -> int:
         return self.family.n
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """design^T design, read-only.  Raises ValueError, on every access,
+        when it is rank deficient."""
+        gram = self.design.T @ self.design
+        if np.linalg.matrix_rank(gram) < gram.shape[0]:
+            raise ValueError("design matrix is rank deficient")
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def hat_squared(self) -> np.ndarray:
+        """Elementwise square of the hat matrix H = design gram^-1 design^T,
+        which maps observed frequencies to refined ones; read-only."""
+        hat = self.design @ np.linalg.solve(self.gram, self.design.T)
+        out = hat**2
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def relations(self) -> tuple:
+        """Human-readable form of each row, mirroring how reports display the
+        relations column (free entries show as just "p_k")."""
+        out = []
+        for idx in range(self.n + 1):
+            if idx in self.free:
+                out.append(f"p{idx}")
+                continue
+            terms = []
+            if abs(self.offset[idx]) > 1e-15 or not self.design[idx].any():
+                terms.append(f"{self.offset[idx]:.5f}".rstrip("0").rstrip("."))
+            for pos, f in enumerate(self.free):
+                c = self.design[idx, pos]
+                if c == 0.0:
+                    continue
+                mag = abs(c)
+                coef = "" if mag == 1.0 else (f"{mag:g}*")
+                if not terms:
+                    terms.append(f"{'-' if c < 0 else ''}{coef}p{f}")
+                else:
+                    terms.append(f"{'-' if c < 0 else '+'} {coef}p{f}")
+            out.append(f"p{idx} = " + " ".join(terms))
+        return tuple(out)
 
 
 def half_plane_sign_prob(sigma: float, rho: float) -> float:
@@ -104,12 +154,23 @@ def build_constraints(family: ModelFamily, pinned=()) -> ConstraintSystem:
     vector.  disc-sys carries only the total-mass relation, so it has nothing
     to refine (see ModelFamily.symmetric).  Raises InconsistentConstraints
     when pinning contradicts the relations.
+
+    Equal families with equal pin sets, in any container, order or with
+    repeats, get one shared system: it is frozen and its arrays read-only.
     """
     n = family.n
     pinned = tuple(sorted(set(int(j) for j in pinned)))
     for j in pinned:
         if not 0 <= j <= n:
             raise ValueError(f"pinned index {j} out of range")
+    return _build_system(family, pinned)
+
+
+@lru_cache(maxsize=_SYSTEMS_KEPT)
+def _build_system(family: ModelFamily, pinned: tuple) -> ConstraintSystem:
+    """build_constraints after its pins are normalized and range-checked.
+    A raise is not cached, so an inconsistent pin set raises on every call."""
+    n = family.n
     a, b = _relation_rows(family, pinned)
     nrows = a.shape[0]
     used = np.zeros(nrows, dtype=bool)
@@ -157,28 +218,9 @@ def build_constraints(family: ModelFamily, pinned=()) -> ConstraintSystem:
 
 
 def relation_strings(cs: ConstraintSystem) -> list:
-    """Human-readable form of each row, mirroring how reports display the
-    relations column (free entries show as just "p_k")."""
-    out = []
-    for idx in range(cs.n + 1):
-        if idx in cs.free:
-            out.append(f"p{idx}")
-            continue
-        terms = []
-        if abs(cs.offset[idx]) > 1e-15 or not cs.design[idx].any():
-            terms.append(f"{cs.offset[idx]:.5f}".rstrip("0").rstrip("."))
-        for pos, f in enumerate(cs.free):
-            c = cs.design[idx, pos]
-            if c == 0.0:
-                continue
-            mag = abs(c)
-            coef = "" if mag == 1.0 else (f"{mag:g}*")
-            if not terms:
-                terms.append(f"{'-' if c < 0 else ''}{coef}p{f}")
-            else:
-                terms.append(f"{'-' if c < 0 else '+'} {coef}p{f}")
-        out.append(f"p{idx} = " + " ".join(terms))
-    return out
+    """Human-readable form of each row (see ConstraintSystem.relations), as a
+    new list on every call."""
+    return list(cs.relations)
 
 
 def exact_probabilities(family: ModelFamily) -> ProbabilityVector:

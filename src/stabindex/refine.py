@@ -33,27 +33,27 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     """Project observed frequencies onto the constraint set.
 
     Solves the normal equations for design . q ~ ptilde - offset and returns
-    design . qhat + offset, which satisfies every relation exactly.  Standard
-    errors propagate through the (linear) projection.  ptilde may be a
-    ProbabilityVector or a plain vector of length n + 1.
+    design . qhat + offset, which satisfies every relation exactly.  ptilde
+    may be a ProbabilityVector or a plain vector of length n + 1.
+
+    The standard errors carry only the variances through the projection H:
+    se = sqrt(H**2 @ stderr**2).  They drop the multinomial covariance
+    -p_i p_j / N between entries, so a refined stderr is not the spread of
+    the refined value: against replicate runs it read up to about 2x too
+    large for some entries and somewhat too small for others.
     """
     p = _values(ptilde)
     n1 = cs.design.shape[0]
     if p.shape != (n1,):
         raise ValueError(f"expected a length-{n1} frequency vector")
-    k = cs.design.shape[1]
-    if k == 0:  # older numpy's matrix_rank rejects a 0x0 matrix
+    if cs.design.shape[1] == 0:  # older numpy's matrix_rank rejects a 0x0 matrix
         phat = cs.offset.copy()
         se = np.zeros(n1)
     else:
         d = cs.design
-        gram = d.T @ d
-        if np.linalg.matrix_rank(gram) < k:
-            raise ValueError("design matrix is rank deficient")
-        qhat = np.linalg.solve(gram, d.T @ (p - cs.offset))
+        qhat = np.linalg.solve(cs.gram, d.T @ (p - cs.offset))
         phat = d @ qhat + cs.offset
-        hat = d @ np.linalg.solve(gram, d.T)
-        se = np.sqrt(hat**2 @ _stderr(ptilde, n1) ** 2)
+        se = np.sqrt(cs.hat_squared @ _stderr(ptilde, n1) ** 2)
     return ProbabilityVector(phat, se, "refined")
 
 

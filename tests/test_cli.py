@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabindex import cli, verify
+from stabindex import cli, constraints, verify
 from stabindex.verify import CheckResult
 
 
@@ -50,6 +50,23 @@ class TestEstimate:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_shared_systems_keep_report_bytes(self, capsys):
+        # cont-eq n = 8 at this size repairs its tails, so pinned systems are
+        # built and then shared too
+        for fmt in ("json", "csv", "table"):
+            args = (
+                "estimate", "--family", "cont-eq", "--n", "8",
+                "--samples", "20000", "--format", fmt,
+            )
+            constraints._build_system.cache_clear()
+            first = run_cli(capsys, *args)
+            assert constraints._build_system.cache_info().currsize > 1
+            repeated = run_cli(capsys, *args)
+            constraints._build_system.cache_clear()
+            cleared = run_cli(capsys, *args)
+            assert first[0] == 0
+            assert first == repeated == cleared
 
     def test_high_order_takes_eigen_route(self, capsys):
         # the sign scan leaves too many cont-sys rows indeterminate at n = 24

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabindex.constraints import (
+    ConstraintSystem,
     InconsistentConstraints,
     build_constraints,
     even_parity_sum,
@@ -17,6 +18,7 @@ from stabindex.constraints import (
     relation_strings,
 )
 from stabindex.models import FAMILY_KINDS, ModelFamily
+from stabindex.refine import least_squares_refine
 
 
 class TestWorkedSystems:
@@ -142,6 +144,57 @@ class TestPinning:
     def test_pinned_out_of_range(self):
         with pytest.raises(ValueError):
             build_constraints(ModelFamily("cont-eq", 4), pinned=(9,))
+
+
+class TestSharing:
+    """build_constraints hands out one shared, read-only system per
+    (family, pinned set); everything it refuses it refuses on every call."""
+
+    def test_equal_keys_share_one_system(self):
+        family = ModelFamily("cont-eq", 8)
+        shared = build_constraints(family, pinned=(0, 8))
+        for pins in ([8, 0], {0, 8}, (8, 0, 8), np.array([0, 8])):
+            assert build_constraints(family, pinned=pins) is shared
+        assert build_constraints(ModelFamily("cont-eq", 8), pinned=(0, 8)) is shared
+        assert build_constraints(family) is build_constraints(family, pinned=[])
+        assert build_constraints(family) is not shared
+
+    def test_arrays_stay_read_only(self):
+        cs = build_constraints(ModelFamily("cont-sys", 7))
+        least_squares_refine(cs, np.full(8, 1 / 8))
+        for arr in (cs.design, cs.offset, cs.gram, cs.hat_squared):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert build_constraints(ModelFamily("cont-sys", 7)).design[3, 0] == -1.0
+
+    def test_relation_strings_is_a_fresh_list(self):
+        cs = build_constraints(ModelFamily("cont-sys", 7))
+        first = relation_strings(cs)
+        want = list(first)
+        second = relation_strings(cs)
+        assert first == second and first is not second
+        first[3] = "mutated"
+        first.append("extra")
+        assert relation_strings(cs) == want
+        assert relation_strings(build_constraints(ModelFamily("cont-sys", 7))) == want
+
+    def test_bad_pins_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="out of range"):
+                build_constraints(ModelFamily("cont-eq", 4), pinned=(9,))
+            with pytest.raises(InconsistentConstraints):
+                build_constraints(ModelFamily("disc-eq", 4), pinned=(1,))
+
+    def test_rank_deficient_system_raises_on_every_refine(self):
+        design = np.array([[1.0, 1.0], [1.0, 1.0], [-2.0, -2.0]])
+        design.flags.writeable = False
+        cs = ConstraintSystem(
+            ModelFamily("cont-eq", 2), (0, 1), design, np.array([0.0, 0.0, 1.0])
+        )
+        for _ in range(3):
+            with pytest.raises(ValueError, match="rank deficient"):
+                least_squares_refine(cs, np.array([0.25, 0.5, 0.25]))
 
 
 class TestExactCatalog:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabindex import refine
+from stabindex import constraints, refine
 from stabindex.constraints import (
     InconsistentConstraints,
     build_constraints,
@@ -186,6 +186,69 @@ class TestLeastSquares:
         cs = build_constraints(ModelFamily("cont-eq", 4))
         with pytest.raises(ValueError, match="finite"):
             least_squares_refine(cs, [math.nan, 0.25, 0.5, 0.25, 0.0])
+
+
+def _inline_refine(cs, observed):
+    """The refinement with the Gram and hat matrices formed in place from
+    the design: the shared system's kept operands must match it bit for
+    bit."""
+    d = cs.design
+    gram = d.T @ d
+    qhat = np.linalg.solve(gram, d.T @ (observed.values - cs.offset))
+    hat = d @ np.linalg.solve(gram, d.T)
+    return d @ qhat + cs.offset, np.sqrt(hat**2 @ observed.stderr**2)
+
+
+def _observed(values, samples=1_000_000):
+    values = np.asarray(values, dtype=float)
+    return ProbabilityVector(values, np.sqrt(values * (1.0 - values) / samples))
+
+
+class TestSharedSystem:
+    @pytest.mark.parametrize(
+        "kind, n, pinned, values",
+        [
+            ("cont-sys", 7, (), CONT_SYS_7_OBSERVED),
+            ("cont-eq", 8, (), CONT_EQ_8_OBSERVED),
+            ("cont-eq", 8, (0, 8), CONT_EQ_8_OBSERVED),
+            ("disc-eq", 4, (), DISC_EQ_4_OBSERVED / DISC_EQ_4_OBSERVED.sum()),
+            ("cont-sys", 2, (), [0.3, 0.45, 0.25]),
+        ],
+    )
+    def test_bit_identical_to_an_uncached_build(self, kind, n, pinned, values):
+        family = ModelFamily(kind, n)
+        observed = _observed(values)
+        shared = build_constraints(family, pinned=pinned)
+        fresh = constraints._build_system.__wrapped__(family, tuple(pinned))
+        assert fresh is not shared
+        want = least_squares_refine(fresh, observed)
+        for _ in range(2):  # cold, then warm cached operands
+            got = least_squares_refine(shared, observed)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.stderr.tobytes() == want.stderr.tobytes()
+        if fresh.free:
+            values, stderr = _inline_refine(fresh, observed)
+            assert want.values.tobytes() == values.tobytes()
+            assert want.stderr.tobytes() == stderr.tobytes()
+
+    def test_rank_check_runs_once_per_system(self, monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+
+        def counting_rank(*args, **kwargs):
+            calls.append(None)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+        family = ModelFamily("cont-sys", 7)
+        fresh = constraints._build_system.__wrapped__(family, ())
+        least_squares_refine(fresh, CONT_SYS_7_OBSERVED)
+        least_squares_refine(fresh, _observed(CONT_SYS_7_OBSERVED))
+        assert len(calls) == 1
+        constraints._build_system.cache_clear()
+        for _ in range(2):
+            least_squares_refine(build_constraints(family), CONT_SYS_7_OBSERVED)
+        assert len(calls) == 2
 
 
 class TestNonnegRepair:
