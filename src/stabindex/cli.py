@@ -10,6 +10,7 @@ failure.  Output is byte-identical for identical arguments.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,7 +59,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use and kept: the test suite and the
+    benchmark call main many times in one process."""
     parser = _Parser(prog="stabindex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -90,18 +94,6 @@ def _build_parser() -> _Parser:
     ver.add_argument("--oracle-polys", type=int, default=10_000)
     ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
     return parser
-
-
-_PARSER = None
-
-
-def _parser() -> _Parser:
-    """The parser, built on first use and kept: the test suite and the
-    benchmark call main many times in one process."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
 
 
 def _vector_json(vec) -> dict:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .models import ModelFamily
+from .models import ModelFamily, validate_integer
 from .montecarlo import ProbabilityVector
 
 # Elimination pivots and consistency checks; relation coefficients are small
@@ -33,21 +33,18 @@ class InconsistentConstraints(ValueError):
     probability vector."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """Affine parametrization p = design . q + offset of the probability
     vector by its free entries q = p[free].  The sample-independent state
-    below is computed on first use and kept with the system."""
+    below is computed on first use and kept with the system.  Systems
+    compare and hash by identity."""
 
     family: ModelFamily
     free: tuple
     design: np.ndarray
     offset: np.ndarray
     pinned: tuple = ()
-
-    @property
-    def n(self) -> int:
-        return self.family.n
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -73,7 +70,7 @@ class ConstraintSystem:
         """Human-readable form of each row, mirroring how reports display the
         relations column (free entries show as just "p_k")."""
         out = []
-        for idx in range(self.n + 1):
+        for idx in range(self.family.n + 1):
             if idx in self.free:
                 out.append(f"p{idx}")
                 continue
@@ -153,15 +150,18 @@ def build_constraints(family: ModelFamily, pinned=()) -> ConstraintSystem:
     which leaves the lowest-index undetermined probabilities as the free
     vector.  disc-sys carries only the total-mass relation, so it has nothing
     to refine (see ModelFamily.symmetric).  Raises InconsistentConstraints
-    when pinning contradicts the relations.
+    when pinning contradicts the relations, and ValueError for a pin that is
+    not an integer in 0..n.
 
     Equal families with equal pin sets, in any container, order or with
     repeats, get one shared system: it is frozen and its arrays read-only.
     """
-    n = family.n
+    pinned = list(pinned)
+    for j in pinned:
+        validate_integer("pinned index", j)
     pinned = tuple(sorted(set(int(j) for j in pinned)))
     for j in pinned:
-        if not 0 <= j <= n:
+        if not 0 <= j <= family.n:
             raise ValueError(f"pinned index {j} out of range")
     return _build_system(family, pinned)
 

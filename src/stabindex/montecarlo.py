@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import ZERO_LEADING
-from .models import DEFAULT_TOL, METHODS, ModelFamily, batch_indices
+from .models import DEFAULT_TOL, ModelFamily, batch_indices, resolve_method
 from .models import validate_integer, validate_tol
 
 # Fixed documented default so that command-line examples reproduce exactly.
@@ -61,8 +61,7 @@ class EstimationConfig:
     def __post_init__(self):
         for name in ("samples", "shards", "seed"):
             validate_integer(name, getattr(self, name))
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        resolve_method(self.family, self.method)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 1 <= self.shards <= self.samples:

@@ -17,16 +17,16 @@ class RepairFailed(RuntimeError):
         self.last = last
 
 
-def _values(ptilde) -> np.ndarray:
+def _read(ptilde) -> tuple:
+    """(values, stderr) of a ProbabilityVector, or of a plain vector with
+    zero stderr."""
     if isinstance(ptilde, ProbabilityVector):
-        return np.asarray(ptilde.values, dtype=float)
-    return np.asarray(ptilde, dtype=float)
-
-
-def _stderr(ptilde, length: int) -> np.ndarray:
-    if isinstance(ptilde, ProbabilityVector):
-        return np.asarray(ptilde.stderr, dtype=float)
-    return np.zeros(length)
+        return (
+            np.asarray(ptilde.values, dtype=float),
+            np.asarray(ptilde.stderr, dtype=float),
+        )
+    p = np.asarray(ptilde, dtype=float)
+    return p, np.zeros(p.shape)
 
 
 def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
@@ -42,7 +42,7 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     the refined value: against replicate runs it read up to about 2x too
     large for some entries and somewhat too small for others.
     """
-    p = _values(ptilde)
+    p, stderr = _read(ptilde)
     n1 = cs.design.shape[0]
     if p.shape != (n1,):
         raise ValueError(f"expected a length-{n1} frequency vector")
@@ -53,7 +53,7 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
         d = cs.design
         qhat = np.linalg.solve(cs.gram, d.T @ (p - cs.offset))
         phat = d @ qhat + cs.offset
-        se = np.sqrt(cs.hat_squared @ _stderr(ptilde, n1) ** 2)
+        se = np.sqrt(cs.hat_squared @ stderr**2)
     return ProbabilityVector(phat, se, "refined")
 
 

@@ -19,8 +19,8 @@ from .montecarlo import DEFAULT_SEED, MAX_INDETERMINATE_FRACTION, EstimationAbor
 from .montecarlo import EstimationConfig, frequencies
 from .montecarlo import run_estimation, shard_stream
 
-# Highest order each sweep covers; _MAX_N is shared by the relation,
-# catalog and indeterminate-budget checks.
+# Highest order each sweep covers; _MAX_N is shared by the constraint
+# closure, catalog and indeterminate-budget checks.
 _MEAN_MAX_N = 6
 _MAX_N = 10
 
@@ -76,10 +76,7 @@ _QUADRANT_KEY = _ORACLE_KEY + len(_ORACLE_CASES)
 
 
 def check_oracle(
-    kind: str,
-    per_degree: int = 10_000,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
+    kind: str, per_degree: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Sign-scan count vs eigenvalue count on random draws of family
     ``kind``, per_degree draws at each order: the Routh scan, the conformal
@@ -196,9 +193,7 @@ def check_quadrature(closed_form=_arctan_closed_form) -> CheckResult:
     )
 
 
-def check_orthant_determinant(
-    samples: int = 1_000_000, seed: int = DEFAULT_SEED
-) -> CheckResult:
+def check_orthant_determinant(samples: int, seed: int = DEFAULT_SEED) -> CheckResult:
     """P(U,V,S,T > 0 and UT - SV > 0) = 1/32 for independent standard
     normals, checked by direct Monte Carlo within 4 sigma.  Skipped unless
     the bound is below 1/32 itself (497 samples or more): an estimate of 0
@@ -221,7 +216,7 @@ def check_orthant_determinant(
 
 
 def check_mean_index(
-    samples: int = 1_000_000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
+    samples: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Mean index n/2 for the three symmetric families, within
     4 sqrt(n/samples).  Not asserted for disc-sys, whose distribution is
@@ -272,7 +267,7 @@ def check_determinism(samples: int = 10_000, seed: int = DEFAULT_SEED) -> CheckR
 
 
 def check_indeterminate_fraction(
-    samples: int = 10_000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
+    samples: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """The indeterminate share stays within the estimation abort threshold
     for every family and order; run_estimation raises EstimationAbort above
@@ -307,17 +302,11 @@ def check_indeterminate_fraction(
 
 
 def run_all(
-    samples: int = 100_000,
-    seed: int = DEFAULT_SEED,
-    oracle_polys: int = 10_000,
-    tol: float = DEFAULT_TOL,
+    samples: int, oracle_polys: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> list:
     """Run every check; statistical bounds adapt to the sample count."""
     return [
-        check_oracle("cont-eq", oracle_polys, seed=seed, tol=tol),
-        check_oracle("disc-eq", oracle_polys, seed=seed, tol=tol),
-        check_oracle("cont-sys", oracle_polys, seed=seed, tol=tol),
-        check_oracle("disc-sys", oracle_polys, seed=seed, tol=tol),
+        *(check_oracle(kind, oracle_polys, seed=seed, tol=tol) for kind in _ORACLE_CASES),
         check_constraint_closure(),
         check_exact_catalog(),
         check_quadrature(),

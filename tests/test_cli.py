@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, determinism, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -429,14 +430,13 @@ def test_parser_is_built_once_and_parses_as_a_fresh_one(capsys, monkeypatch):
         ("convergence", "--family", "disc-eq", "--n", "2", "--k", "2", "--grid", "100,1000"),
     ]
     builds = []
-    build = cli._build_parser
+    build = cli._parser.__wrapped__
 
     def counting_build():
         builds.append(None)
         return build()
 
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
     kept = [run_cli(capsys, *argv) for argv in calls]
     assert len(builds) == 1
     monkeypatch.setattr(cli, "_parser", build)

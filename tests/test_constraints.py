@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabindex import constraints
 from stabindex.constraints import (
     ConstraintSystem,
     InconsistentConstraints,
@@ -145,6 +146,12 @@ class TestPinning:
         with pytest.raises(ValueError):
             build_constraints(ModelFamily("cont-eq", 4), pinned=(9,))
 
+    @pytest.mark.parametrize("pin", [-0.5, 1.5, "3", True])
+    def test_non_integer_pin_is_rejected(self, pin):
+        # int() would truncate these to a pin the caller never passed
+        with pytest.raises(ValueError, match="pinned index must be an integer"):
+            build_constraints(ModelFamily("cont-eq", 4), pinned=[pin])
+
 
 class TestSharing:
     """build_constraints hands out one shared, read-only system per
@@ -153,11 +160,20 @@ class TestSharing:
     def test_equal_keys_share_one_system(self):
         family = ModelFamily("cont-eq", 8)
         shared = build_constraints(family, pinned=(0, 8))
-        for pins in ([8, 0], {0, 8}, (8, 0, 8), np.array([0, 8])):
+        for pins in ([8, 0], {0, 8}, (8, 0, 8), np.array([0, 8]), (j for j in (8, 0))):
             assert build_constraints(family, pinned=pins) is shared
         assert build_constraints(ModelFamily("cont-eq", 8), pinned=(0, 8)) is shared
         assert build_constraints(family) is build_constraints(family, pinned=[])
         assert build_constraints(family) is not shared
+
+    def test_systems_compare_by_identity(self):
+        family = ModelFamily("cont-eq", 4)
+        shared = build_constraints(family)
+        assert shared == build_constraints(family)
+        assert hash(shared) == hash(build_constraints(family))
+        uncached = constraints._build_system.__wrapped__(family, ())
+        assert (shared == uncached) is False
+        assert np.array_equal(shared.design, uncached.design)
 
     def test_arrays_stay_read_only(self):
         cs = build_constraints(ModelFamily("cont-sys", 7))
