@@ -16,8 +16,9 @@ The characteristic polynomial takes O(n^3) flops: Householder reduction to
 Hessenberg form, then La Budde's recurrence.
 """
 
+from contextlib import nullcontext
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -222,26 +223,105 @@ def routh_scan(coeffs, tol):
 # block's Routh rows, Moebius image, thresholds and running minima would
 # otherwise outgrow what malloc keeps between blocks: on uncapped
 # 7680-column blocks a warm 10k-row n = 1 jury_codes call took 58 to 88
-# minor faults, and on 4096-column blocks none.  The char-poly kernel reduces an
-# (n, n, block) copy of each block in place and forms each Householder
-# update's products in one (n, n-1, block) temporary, so a few large numpy
-# calls do each step.  With La Budde's store it holds at most 2n^2 + 3n + 3
-# float rows, which _char_poly_width keeps within _CHAR_POLY_BYTES (5637
-# rows at n = 6, 2250 at n = 10); numpy's iterator buffers, under 128 KiB
-# whatever the width, come on top.  The width is set by the interpreter
-# lock, not by memory: a block makes over 200 numpy calls at n = 6 whatever
-# its width, and each call releases and retakes the lock, so two thread
-# shards overlap only while the calls are long.  On a 2-core VM two threads
-# ran the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at
-# 5637 (4 MiB).  4 MiB is the largest budget at which a CHUNK-row n = 6
-# call still allocates less than its input.
-# Each char-poly block's coefficients are scanned whole as soon as they are
-# made, so no coefficient array spans the chunk; these scans are not held to
-# _SCAN_BYTES.
+# minor faults, and on 4096-column blocks none.
+#
+# The char-poly kernel reduces an (n, n, block) copy of each block in place
+# and forms each Householder update's products in one (n, n-1, block)
+# temporary, so a few large numpy calls do each step.  Its coefficients,
+# the stack and the larger of its two phases' working arrays take at most
+# 2n^2 + 2n + 3 float rows, which _char_poly_width keeps within _BLOCK_BYTES
+# (5637 rows at n = 6, 2250 at n = 10); the Routh or Jury scan of the
+# coefficients reuses the stack's rows once it is dead.  These arrays are
+# far above the mmap threshold, so they come from a Workspace: the Monte
+# Carlo layer passes each shard's, which serves every block from the same
+# pages, and a caller without one gets fresh arrays.  A kernel leaves what
+# it takes taken; the scope of its caller's block gives it back.  The width
+# is set by the interpreter lock, not by memory: a block makes over 200
+# numpy calls at n = 6 whatever its width, and each call releases and
+# retakes the lock, so two thread shards overlap only while the calls are
+# long.  On a 2-core VM two threads ran the kernel 0.98x as fast as one at
+# 2818 columns (2 MiB) and 1.27x at 5637 (4 MiB).  The same budget sizes
+# the eigenvalue routes' (block, n, n) stacks (_eigen_width), so no route's
+# block outgrows it.
 
 _SCAN_BYTES = 120 << 10
 _SCAN_COLUMNS = 4096
-_CHAR_POLY_BYTES = 4 << 20
+_BLOCK_BYTES = 4 << 20
+_MMAP_BYTES = 128 << 10  # glibc's default mmap threshold
+_HUGE_BYTES = 4 << 20  # numpy advises huge pages from this size on
+_ALIGN = 16  # bytes: workspace arrays keep malloc's alignment
+
+
+class Workspace:
+    """Scratch memory that one caller reuses block after block.
+
+    take(shape, dtype) carves a C-contiguous array off the top of one byte
+    slab; a scope (``with ws.scope():``) gives back, when it exits,
+    everything taken inside it, so a block's arrays, and each phase's
+    within it, stack up and fall away in order.  An array under glibc's
+    128 KiB mmap threshold is a fresh np.empty instead: malloc serves it
+    from its heap and hands the same pages to the next block.  A take past
+    the end of the slab moves the workspace to a new slab at least twice as
+    large, at the same offsets; the arrays already taken keep the old one
+    alive until they are dropped.  So the first block a workspace serves
+    sizes it, and later blocks of that size allocate nothing.  Only the
+    pages a block touches become resident.  Arrays taken inside a scope
+    must not be used after it exits.
+    """
+
+    def __init__(self):
+        self._slab = np.empty(0, dtype=np.uint8)
+        self._top = 0
+        self._marks = []
+
+    def take(self, shape, dtype=np.float64):
+        nbytes = np.dtype(dtype).itemsize * prod(shape)
+        if nbytes < _MMAP_BYTES:
+            return np.empty(shape, dtype)
+        start = self._top
+        self._top = top = start + -(-nbytes // _ALIGN) * _ALIGN
+        if top > self._slab.size:
+            self._slab = _new_slab(max(top, 2 * self._slab.size))
+        return np.ndarray(shape, dtype, self._slab, start)
+
+    def scope(self):
+        return self
+
+    def __enter__(self):
+        self._marks.append(self._top)
+        return self
+
+    def __exit__(self, *exc):
+        self._top = self._marks.pop()
+
+
+def _new_slab(nbytes):
+    """nbytes of scratch.  From _HUGE_BYTES on the slab is mapped directly:
+    numpy would advise huge pages for it, and a huge page becomes resident
+    whole once any byte of it is touched, so the slab's resident size would
+    hang on its alignment."""
+    if nbytes >= _HUGE_BYTES:
+        import mmap
+
+        return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+    return np.empty(nbytes, dtype=np.uint8)
+
+
+class _Fresh:
+    """The workspace of callers that bring none: every take is a new
+    array, as np.empty gives it, and nothing is kept."""
+
+    _scope = nullcontext()
+
+    @staticmethod
+    def take(shape, dtype=np.float64):
+        return np.empty(shape, dtype)
+
+    def scope(self):
+        return self._scope
+
+
+_FRESH = _Fresh()
 
 
 def _column_blocks(count, width):
@@ -256,18 +336,26 @@ def _scan_width(n):
 
 
 def _char_poly_width(n):
-    """Columns per block of the degree-n char-poly kernel: the stack and
-    the larger of its two phases' working arrays take at most 2n^2 + 3n + 3
-    float rows (_hessenberg_block, _la_budde_block), which stay within
-    _CHAR_POLY_BYTES."""
-    return max(1, _CHAR_POLY_BYTES // (8 * (2 * n * n + 3 * n + 3)))
+    """Columns per block of the degree-n char-poly kernel: 2n^2 + 3n + 3
+    float rows of this width fit _BLOCK_BYTES, and the kernel's
+    coefficients, stack and larger phase take at most 2n^2 + 2n + 3 of them
+    (_char_poly_block)."""
+    return max(1, _BLOCK_BYTES // (8 * (2 * n * n + 3 * n + 3)))
 
 
-def _abs_max(cols):
-    """Per-column max |x|, skipping NaN as routh_scan's _scale does.
-    |x| is formed in C order: on a transposed view the reduction would
-    otherwise run across the contiguous axis, many times slower."""
-    return np.fmax.reduce(np.abs(cols, order="C"), axis=0, initial=0.0)
+def _eigen_width(n):
+    """Matrices per block of the eigenvalue routes: a (block, n, n) float
+    stack within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * n * n))
+
+
+def _abs_max(cols, ws=_FRESH):
+    """Per-column max |x|, skipping NaN as routh_scan's _scale does, in an
+    array taken from ws (fresh arrays by default).  |x| is formed in a
+    C-order temporary: on a transposed view the reduction would otherwise
+    run across the contiguous axis, many times slower."""
+    absolute = np.abs(cols, out=ws.take(cols.shape))
+    return np.fmax.reduce(absolute, axis=0, initial=0.0, out=ws.take(cols.shape[1:]))
 
 
 def routh_codes(coeffs, tol):
@@ -278,7 +366,7 @@ def routh_codes(coeffs, tol):
     return codes
 
 
-def _routh_block(coeffs, tol, codes):
+def _routh_block(coeffs, tol, codes, ws=_FRESH):
     """Write routh_codes of an (n+1, count) block into codes.
 
     Every column steps through the Routh array to its last row in lockstep,
@@ -289,17 +377,18 @@ def _routh_block(coeffs, tol, codes):
     pivot, mean nothing (inf or NaN where it is 0): its code is
     routh_scan's own.  Every other column saw routh_scan's float operations
     in routh_scan's order.  Three buffers rotate through the roles prev,
-    cur and nxt.
+    cur and nxt.  Every working array is taken from ws (fresh arrays by
+    default).
     """
-    n = coeffs.shape[0] - 1
-    thr = _abs_max(coeffs)
+    n, count = coeffs.shape[0] - 1, coeffs.shape[1]
+    thr = _abs_max(coeffs, ws)
     thr *= tol
-    prev = np.array(coeffs[::-2], order="C")
-    cur = np.zeros_like(prev)
+    prev, cur, nxt = ws.take((3, n // 2 + 1, count))
+    np.copyto(prev, coeffs[::-2])
+    cur[(n + 1) // 2 :] = 0.0
     cur[: (n + 1) // 2] = coeffs[-2::-2]
-    nxt = np.empty_like(prev)
-    least = np.abs(prev[0])
-    signs = np.empty((n + 1, coeffs.shape[1]), dtype=bool)  # pivot signs, row by row
+    least = np.abs(prev[0], out=ws.take((count,)))
+    signs = ws.take((n + 1, count), bool)  # pivot signs, row by row
     np.greater(prev[0], 0.0, out=signs[0])
     with np.errstate(all="ignore"):
         for step in range(1, n + 1):  # cur holds the row of degree n - step
@@ -317,7 +406,9 @@ def _routh_block(coeffs, tol, codes):
             nxt[-1] = 0.0
             prev, cur, nxt = cur, nxt, prev
     del prev, cur, nxt  # free the Routh rows before counting sign changes
-    codes[:] = n - np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    flips = np.not_equal(signs[1:], signs[:-1], out=ws.take((n, count), bool))
+    np.add.reduce(flips, axis=0, dtype=np.int64, out=codes)
+    np.subtract(n, codes, out=codes)
     for col in np.flatnonzero(~(least > thr)):
         codes[col] = routh_scan(coeffs[:, col], tol)
 
@@ -340,37 +431,32 @@ def jury_codes(coeffs, tol):
     return codes
 
 
-def _jury_block(coeffs, tol, codes):
-    """Write jury_codes of an (n+1, count) block into codes."""
-    scale = _abs_max(coeffs)
+def _jury_block(coeffs, tol, codes, ws=_FRESH):
+    """Write jury_codes of an (n+1, count) block into codes, with working
+    arrays from ws (fresh arrays by default)."""
+    scale = _abs_max(coeffs, ws)
     small_lead = (scale == 0.0) | (np.abs(coeffs[-1]) <= tol * scale)
-    _routh_block(_mobius_block(coeffs), tol, codes)
+    _routh_block(_mobius_block(coeffs, ws), tol, codes, ws)
     codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
     codes[small_lead] = ZERO_LEADING
 
 
-def _mobius_block(coeffs):
+def _mobius_block(coeffs, ws=_FRESH):
     """Each column of an (n+1, count) block c mapped through
     x = (z+1)/(z-1): sum_j c[j] (z+1)^j (z-1)^(n-j), accumulated term by
-    term, j ascending, against mobius_weights(n)."""
+    term, j ascending, against mobius_weights(n).  The image is taken from
+    ws (fresh arrays by default)."""
     weights = mobius_weights(coeffs.shape[0] - 1)
-    star = np.zeros(coeffs.shape)
-    term = np.empty_like(star)
+    star = ws.take(coeffs.shape)
+    star.fill(0.0)
+    term = ws.take(coeffs.shape)
     for j, row in enumerate(coeffs):
         np.multiply(weights[j][:, None], row, out=term)
         star += term
     return star
 
 
-def _char_poly_blocks(mats):
-    """(cols, coeffs) for each column block of a (count, n, n) stack, where
-    coeffs holds the (n+1, block) characteristic polynomials of mats[cols]."""
-    count, n, _ = mats.shape
-    for cols in _column_blocks(count, _char_poly_width(n)):
-        yield cols, _char_poly_block(mats[cols])
-
-
-def _char_poly_block(mats):
+def _char_poly_block(mats, ws=_FRESH):
     """Monic characteristic polynomial det(xI - a) of each matrix a in a
     (count, n, n) stack, as (n+1, count) ascending coefficients.
 
@@ -385,26 +471,37 @@ def _char_poly_block(mats):
     sum runs in ascending index order from its first term; matmul, einsum
     and .sum would reorder or fuse those additions.  The stack is copied
     to (n, n, count), so the reduction runs in place without touching mats.
+
+    The coefficients are taken from ws (fresh arrays by default), and
+    the stack and both phases' working arrays above them, given back on
+    return: n + 1 rows, then n^2 of stack and at most n^2 + n + 2 of the
+    larger phase, _hessenberg_block.
     """
     count, n, _ = mats.shape
-    h = np.array(mats.transpose(1, 2, 0), order="C")
-    _hessenberg_block(h)
-    return _la_budde_block(h)
+    coeffs = ws.take((n + 1, count))
+    with ws.scope():
+        h = ws.take((n, n, count))
+        np.copyto(h, mats.transpose(1, 2, 0))
+        with ws.scope():
+            _hessenberg_block(h, ws)
+        with ws.scope():
+            _la_budde_block(h, coeffs, ws)
+    return coeffs
 
 
-def _hessenberg_block(h):
+def _hessenberg_block(h, ws):
     """Reduce an (n, n, count) stack in place to upper Hessenberg form.
 
     Each step forms the products of a whole update in one (rows, m, count)
-    temporary and sums them row by row.  It holds n^2 + n + 2 rows besides
-    the stack: n(n-1) of products, n of sums, n - 1 of tau v and three
-    per-column vectors.
+    temporary and sums them row by row.  It takes n^2 + n + 2 rows from ws
+    besides the stack: n(n-1) of products, n of sums, n - 1 of tau v and
+    three per-column vectors.
     """
     n, _, count = h.shape
-    prods = np.empty((n, n - 1, count))
-    sums = np.empty((n, count))
-    scaled = np.empty((n - 1, count))
-    alpha, s, tau = np.empty((3, count))
+    prods = ws.take((n, n - 1, count))
+    sums = ws.take((n, count))
+    scaled = ws.take((n - 1, count))
+    alpha, s, tau = ws.take((3, count))
     for k in range(n - 2):
         m = n - k - 1
         v = h[k + 1 :, k]  # x, then the reflector's v, then H's column k
@@ -446,33 +543,33 @@ def _hessenberg_block(h):
         v[1:] = 0.0
 
 
-def _la_budde_block(h):
-    """The (n+1, count) characteristic polynomials of an upper Hessenberg
-    (n, n, count) stack, by La Budde's recurrence; h's strict upper
-    triangle is overwritten with the recurrence's coefficients.
+def _la_budde_block(h, out, ws):
+    """Write the (n+1, count) characteristic polynomials of an upper
+    Hessenberg (n, n, count) stack into out, by La Budde's recurrence; h's
+    strict upper triangle is overwritten with the recurrence's coefficients.
 
     p_0..p_{n-1} go into a triangular store of (i+1, count) arrays, p_n
-    into the result.  It holds n(n+1)/2 + 3n rows besides the stack: the
-    store, n + 1 of result, n of products and n - 1 of subdiagonal
-    products.
+    into out.  It takes n(n+1)/2 + 2n - 1 rows from ws: the store, n of
+    products and n - 1 of subdiagonal products.
     """
     n, _, count = h.shape
     flat = h.reshape(n * n, count)
     sub = flat[n :: n + 1]  # sub[i - 1] = h[i, i - 1]
     # beta[i - 1] = h[i, i-1] h[i-1, i-2] ... h[i-m+1, i-m] after step m,
     # and the m-th superdiagonal h[i-m, i] becomes h[i-m, i] beta[i - 1]
-    beta = np.array(sub)
+    beta = ws.take(sub.shape)
+    np.copyto(beta, sub)
     for m in range(1, n):
         if m > 1:
             np.multiply(beta[m - 1 :], sub[: n - m], out=beta[m - 1 :])
         sup = flat[m :: n + 1][: n - m]
         np.multiply(sup, beta[m - 1 :], out=sup)
     del beta
-    store = np.empty((n * (n + 1) // 2, count))
+    store = ws.take((n * (n + 1) // 2, count))
     polys = [store[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(n)]
-    polys.append(np.empty((n + 1, count)))
+    polys.append(out)
     polys[0][0] = 1.0
-    term = np.empty((n, count))
+    term = ws.take((n, count))
     for i in range(n):
         # p_{i+1} = (x - h[i, i]) p_i - sum_m coef[i-m, i] p_{i-m}, m = 1..i
         old, new = polys[i], polys[i + 1]
@@ -484,21 +581,37 @@ def _la_budde_block(h):
             low, t = polys[i - m], term[: i - m + 1]
             np.multiply(h[i - m, i], low, out=t)
             np.subtract(new[: i - m + 1], t, out=new[: i - m + 1])
-    return polys[n]
 
 
-def batch_matrix_halfplane(mats, tol):
+def batch_matrix_halfplane(mats, tol, ws=None):
     """Eigenvalues with Re < 0 per matrix, via the characteristic
-    polynomial and the Routh scan."""
-    codes = np.empty(mats.shape[0], dtype=np.int64)
-    for cols, coeffs in _char_poly_blocks(mats):
-        _routh_block(coeffs, tol, codes[cols])
+    polynomial and the Routh scan, one char-poly block at a time, with
+    working arrays from ws (fresh arrays when None)."""
+    ws = _FRESH if ws is None else ws
+    count, n, _ = mats.shape
+    codes = np.empty(count, dtype=np.int64)
+    for cols in _column_blocks(count, _char_poly_width(n)):
+        with ws.scope():
+            _routh_block(_char_poly_block(mats[cols], ws), tol, codes[cols], ws)
     return codes
 
 
-def batch_pencil_disk(mats, radii, tol):
+def batch_pencil_disk(mats, radii, tol, ws=None):
     """eig_disk_codes(mats, radii, tol) via the characteristic polynomial
-    and the Jury scan (the Moebius map, then the Routh scan).
+    and the Jury scan (the Moebius map, then the Routh scan), one char-poly
+    block at a time, with working arrays from ws (fresh arrays when None)."""
+    ws = _FRESH if ws is None else ws
+    count, n, _ = mats.shape
+    codes = np.empty(count, dtype=np.int64)
+    for cols in _column_blocks(count, _char_poly_width(n)):
+        with ws.scope():
+            _pencil_block(_char_poly_block(mats[cols], ws), radii[cols], tol, codes[cols], ws)
+    return codes
+
+
+def _pencil_block(coeffs, r, tol, outside, ws):
+    """Write the codes of one block of pencils into outside, from their
+    (n+1, block) characteristic polynomials and radii r.
 
     Counted through the complement: with r = radii[i], the polynomial
     sum_t c_{n-t} r^{n-t} y^t has its roots at y = r/x, so its unit-disk
@@ -509,23 +622,19 @@ def batch_pencil_disk(mats, radii, tol):
     c_0 is tested against the unscaled coefficients instead: a ~0 det A
     makes the pencil 0 x - A singular, with no count (ZERO_LEADING).
     """
-    n = mats.shape[1]
-    codes = np.empty(mats.shape[0], dtype=np.int64)
-    for cols, coeffs in _char_poly_blocks(mats):
-        r = radii[cols]
-        scaled = np.empty_like(coeffs)
-        f = np.ones_like(r)
-        for t in range(n, -1, -1):
-            scaled[t] = coeffs[n - t] * f
-            f = f * r
-        outside = codes[cols]
-        _jury_block(scaled, tol, outside)
-        np.subtract(n, outside, out=outside, where=outside >= 0)
-        if not r.all():
-            zero = np.flatnonzero(r == 0.0)
-            c = coeffs.take(zero, axis=1)
-            outside[zero[np.abs(c[0]) <= tol * _abs_max(c)]] = ZERO_LEADING
-    return codes
+    n = coeffs.shape[0] - 1
+    scaled = ws.take(coeffs.shape)
+    f = ws.take(r.shape)
+    f.fill(1.0)
+    for t in range(n, -1, -1):
+        np.multiply(coeffs[n - t], f, out=scaled[t])
+        np.multiply(f, r, out=f)
+    _jury_block(scaled, tol, outside, ws)
+    np.subtract(n, outside, out=outside, where=outside >= 0)
+    if not r.all():
+        zero = np.flatnonzero(r == 0.0)
+        c = coeffs.take(zero, axis=1)
+        outside[zero[np.abs(c[0]) <= tol * _abs_max(c, ws)]] = ZERO_LEADING
 
 
 # ---------------------------------------------------------------------------

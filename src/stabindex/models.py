@@ -249,8 +249,30 @@ def resolve_method(family: ModelFamily, method: str) -> str:
     return "rh" if family.n < AUTO_EIGEN_MIN_N else "eigen"
 
 
+def block_rows(family: ModelFamily, method: str, cap: int) -> int:
+    """Rows per drawn block of ``family`` on the route ``method`` resolves
+    to, at most ``cap``: one char-poly block (kernels._char_poly_width) for
+    the sign scan of the matrix families, a (rows, n, n) stack within
+    kernels._BLOCK_BYTES (kernels._eigen_width) for both eigenvalue routes,
+    the equation families' companion stacks included, and ``cap`` itself
+    for the equation families' scans, which block their own working arrays.
+    """
+    how = resolve_method(family, method)
+    if how == "eigen":
+        rows = kernels._eigen_width(family.n)
+    elif family.kind in ("cont-sys", "disc-sys"):
+        rows = kernels._char_poly_width(family.n)
+    else:
+        rows = cap
+    return min(cap, rows)
+
+
 def batch_indices(
-    family: ModelFamily, params, method: str = "auto", tol: float = DEFAULT_TOL
+    family: ModelFamily,
+    params,
+    method: str = "auto",
+    tol: float = DEFAULT_TOL,
+    workspace=None,
 ) -> np.ndarray:
     """Index codes for a (count, param_count) block of drawn parameters.
 
@@ -261,14 +283,18 @@ def batch_indices(
     columns, a (count, n, n) matrix stack, or that stack and the radii |b|.
     Returns int64 codes (count k >= 0, or a negative indeterminate code from
     .kernels).  Raises ValueError for a NaN or infinite parameter, which the
-    routes would otherwise classify differently or not at all.
+    routes would otherwise classify differently or not at all.  The sign
+    scan of the matrix families takes its working arrays from
+    ``workspace``, a kernels.Workspace, when one is given (the Monte Carlo
+    layer passes each shard's); the codes never depend on it.
     """
     params = np.ascontiguousarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != family.param_count:
         raise ValueError(
             f"params must have shape (count, {family.param_count}) for {family}"
         )
-    if not np.isfinite(params).all():
+    # a NaN reaches both extremes and an infinity one, with no temporary
+    if not (np.isfinite(params.min(initial=0.0)) and np.isfinite(params.max(initial=0.0))):
         raise ValueError("params must be finite")
     validate_tol(tol)
     how = resolve_method(family, method)
@@ -286,13 +312,13 @@ def batch_indices(
     if family.kind == "cont-sys":
         mats = params.reshape(-1, n, n)
         if how == "rh":
-            return kernels.batch_matrix_halfplane(mats, tol)
+            return kernels.batch_matrix_halfplane(mats, tol, workspace)
         return kernels.eig_halfplane_codes(mats, tol)
     # disc-sys
     radii = np.abs(params[:, 0])
     mats = params[:, 1:].reshape(-1, n, n)
     if how == "rh":
-        return kernels.batch_pencil_disk(mats, radii, tol)
+        return kernels.batch_pencil_disk(mats, radii, tol, workspace)
     return kernels.eig_disk_codes(mats, radii, tol)
 
 

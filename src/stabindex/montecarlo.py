@@ -1,15 +1,20 @@
 """Deterministic, shardable Monte Carlo estimation of index distributions.
 
 Each shard owns the substream ``SeedSequence(seed, spawn_key=(shard,))`` and
-draws its samples in whole chunks of CHUNK rows through one loop, so the
-histogram depends only on (seed, shards, config), never on worker count,
-execution order or chunk size, and a shorter run is a prefix of a longer one.
-A convergence grid point that falls inside a chunk is counted from that
-chunk's leading codes; it never splits the chunk.  Each thread that samples
-draws its chunks into one reused float64 buffer of CHUNK x param_count x 8
-bytes (0.4 MB at disc-eq n = 2, 4.7 MB at cont-sys n = 6), which it keeps
-while it lives: the calling thread across runs, a shard-pool thread for
-its run.  So warm chunks map no fresh pages for their draws.
+draws its samples in blocks through one loop, so the histogram depends only
+on (seed, shards, config), never on worker count, execution order or block
+size, and a shorter run is a prefix of a longer one.  A block holds as many
+rows as its route classifies at once (models.block_rows, at most CHUNK), so
+each block is drawn and classified whole, and a convergence grid point that
+falls inside a block is counted from that block's leading codes.
+
+A shard draws each block into a kernels.Workspace, and the sign scan of
+the matrix families takes its char-poly and Routh working arrays from the
+same workspace.  Workspaces outlive the shards and threads that use them:
+a shard takes a spare one when it starts and hands it back when it ends,
+so no two running shards share one, and warm blocks map no fresh pages.
+Each holds what its largest block needed: a 3,000-row job's block never
+grows it to the byte budget.
 """
 
 import math
@@ -19,16 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ZERO_LEADING
-from .models import DEFAULT_TOL, ModelFamily, batch_indices, resolve_method
+from .kernels import ZERO_LEADING, Workspace
+from .models import DEFAULT_TOL, ModelFamily, batch_indices, block_rows, resolve_method
 from .models import validate_integer, validate_tol
 
 # Fixed documented default so that command-line examples reproduce exactly.
 DEFAULT_SEED = 20231
 
-# Samples drawn per kernel invocation; bounds peak memory and the per-thread
-# draw buffer, does not affect results (normal variates are consumed
-# row-major across chunk boundaries).
+# The most rows a shard draws and classifies at once (models.block_rows
+# picks fewer where a route's working set would outgrow its byte budget);
+# does not affect results (normal variates are consumed row-major across
+# block boundaries).
 CHUNK = 16384
 
 # A larger indeterminate share than this signals a tolerance misconfiguration
@@ -59,6 +65,8 @@ class EstimationConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not isinstance(self.family, ModelFamily):
+            raise ValueError(f"family must be a ModelFamily, got {self.family!r}")
         for name in ("samples", "shards", "seed"):
             validate_integer(name, getattr(self, name))
         resolve_method(self.family, self.method)
@@ -127,38 +135,33 @@ def shard_stream(seed: int, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
 
 
-_draw_buffer = threading.local()
+_spare_workspaces = []  # workspaces no running shard holds, the latest last
 
 
-def _draw(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
-    """rows x width standard normals from ``rng``, drawn row-major into this
-    thread's draw buffer, which grows to the largest block the thread has
-    drawn.  The block is overwritten by the thread's next draw."""
-    need = rows * width
-    buf = getattr(_draw_buffer, "array", None)
-    if buf is None or buf.size < need:
-        buf = _draw_buffer.array = np.empty(need)
-    block = buf[:need].reshape(rows, width)
-    rng.standard_normal(out=block)
-    return block
+def _take_workspace() -> Workspace:
+    """A workspace that no running shard holds: the one handed back last,
+    or a new one.  The taker appends it to _spare_workspaces when done."""
+    try:
+        return _spare_workspaces.pop()
+    except IndexError:
+        return Workspace()
 
 
 def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     """Yield one shard's histogram after its first ``size`` samples for each
     size in the ascending ``sizes``, in one pass over max(sizes) samples.
 
-    The pass draws whole chunks of CHUNK rows (the last one shorter) into the
-    calling thread's draw buffer, which keeps CHUNK x param_count x 8 bytes
-    (0.4 MB at disc-eq n = 2, 4.7 MB at cont-sys n = 6) for the thread's
-    later chunks and runs.  A chunk's codes are counted with one shifted
-    bincount, and a size inside the chunk from the chunk's leading codes, so
-    grid points never split a chunk.  Normal variates are drawn row-major
-    whatever the chunk split, and a row's code depends only on that row, so
-    each histogram is bit-identical to a separate run of that size.  The
-    buffer is not read once a chunk's codes exist, so runs may interleave on
-    one thread.
+    The pass draws blocks of models.block_rows rows (the last one shorter)
+    into a workspace it holds until it ends, and classifies each block whole
+    on the same workspace.  A block's codes are counted with one shifted
+    bincount, and a size inside the block from the block's leading codes, so
+    grid points never split a block.  Normal variates are drawn row-major
+    whatever the block split, and a row's code depends only on that row, so
+    each histogram is bit-identical to a separate run of that size.  Passes
+    may interleave on one thread: each holds its own workspace.
     """
     family = cfg.family
+    rows = block_rows(family, cfg.method, CHUNK)
     rng = shard_stream(cfg.seed, shard)
     shift = -ZERO_LEADING  # indeterminate codes land in bins 0..shift-1
     width = family.n + 1 + shift
@@ -166,29 +169,36 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     done = 0
     pending = iter(sizes)
     size = next(pending, None)
-    while size is not None:
-        take = min(CHUNK, sizes[-1] - done)
-        params = _draw(rng, take, family.param_count)
-        codes = batch_indices(family, params, cfg.method, cfg.tol) + shift
-        tally = np.bincount(codes, minlength=width)
-        while size is not None and size <= done + take:
-            head = tally if size == done + take else np.bincount(
-                codes[: size - done], minlength=width
-            )
-            seen = total + head
-            indet = int(seen[:shift].sum())
-            yield IndexHistogram(family, seen[shift:], indet, size, cfg.seed)
-            size = next(pending, None)
-        total += tally
-        done += take
+    ws = _take_workspace()
+    try:
+        while size is not None:
+            take = min(rows, sizes[-1] - done)
+            with ws.scope():
+                params = ws.take((take, family.param_count))
+                rng.standard_normal(out=params)
+                codes = batch_indices(family, params, cfg.method, cfg.tol, ws)
+                codes += shift
+                tally = np.bincount(codes, minlength=width)
+                while size is not None and size <= done + take:
+                    head = tally if size == done + take else np.bincount(
+                        codes[: size - done], minlength=width
+                    )
+                    seen = total + head
+                    indet = int(seen[:shift].sum())
+                    yield IndexHistogram(family, seen[shift:], indet, size, cfg.seed)
+                    size = next(pending, None)
+            del params, codes  # a slab the workspace has outgrown is freed here
+            total += tally
+            done += take
+    finally:
+        _spare_workspaces.append(ws)
 
 
 def run_shard(cfg: EstimationConfig, shard: int) -> IndexHistogram:
     """Histogram of one shard's substream (used by run_estimation and by
-    tests that reassemble sharded runs by hand).  It draws whole chunks into
-    the calling thread's draw buffer of CHUNK x param_count x 8 bytes, as
-    _prefix_histograms describes; a shard-pool thread ends with its run,
-    and its buffer with it."""
+    tests that reassemble sharded runs by hand).  It draws and classifies
+    blocks on a workspace that it holds while it runs, as
+    _prefix_histograms describes."""
     base, rem = divmod(cfg.samples, cfg.shards)
     return next(_prefix_histograms(cfg, shard, [base + (1 if shard < rem else 0)]))
 
@@ -218,15 +228,39 @@ def run_estimation(cfg: EstimationConfig) -> IndexHistogram:
     if cfg.shards == 1:
         total = run_shard(cfg, 0)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # more threads than cores only trade the interpreter lock
-        with ThreadPoolExecutor(max_workers=min(cfg.shards, _usable_cores())) as pool:
-            parts = list(pool.map(lambda s: run_shard(cfg, s), range(cfg.shards)))
+        parts = list(_shard_pool().map(lambda s: run_shard(cfg, s), range(cfg.shards)))
         total = parts[0]
         for part in parts[1:]:
             total = merge(total, part)
     return _within_budget(total)
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool():
+    """The thread pool that runs every sharded estimation, made on first
+    use and kept, so its threads outlive each run.  It is as wide as the
+    usable cores, so a run has at most min(shards, cores) shards running:
+    more threads than cores only trade the interpreter lock.  A forked
+    child starts without it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=_usable_cores())
+        return _pool
+
+
+def _forget_shard_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_shard_pool)
 
 
 def _usable_cores() -> int:
@@ -279,18 +313,23 @@ def convergence_study(
     """Estimate p_k at each grid size and tabulate the absolute error.
 
     Grid points are prefixes of one pass of max(m_grid) samples in whole
-    chunks, each held to the indeterminate budget in grid order.  A log-log
+    blocks, each held to the indeterminate budget in grid order.  A log-log
     regression of error against sample size gives the decay slope (absent
     unless the nonzero errors span at least two distinct sample sizes).
     ``exact`` is stored as a Python float, so the estimates and errors are
-    plain floats too.  An empty grid is a ValueError.
+    plain floats too.  An empty grid, or a k or grid entry that is not an
+    integer (numpy integers count, bool does not), is a ValueError.
     """
     exact = float(exact)
     if not math.isfinite(exact):
         raise ValueError("an exact value is required for a convergence study")
+    validate_integer("k", k)
     if not 0 <= k <= family.n:
         raise ValueError("index k out of range")
-    grid = [int(m) for m in m_grid]
+    grid = list(m_grid)
+    for m in grid:
+        validate_integer("grid sample size", m)
+    grid = [int(m) for m in grid]
     if not grid:
         raise ValueError("the sample-size grid is empty")
     if min(grid) < 1:

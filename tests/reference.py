@@ -5,13 +5,21 @@ Plain Python over one polynomial or matrix: their sums and matrix products
 are explicit loops, written in the floating-point order the batch kernels
 replay column by column, so tests/test_kernels.py compares the two bit for
 bit.  They live beside the tests because nothing in the package calls them.
+HighWaterWorkspace measures how much of a workspace the blocks use.
 """
 
 from math import copysign, sqrt
 
 import numpy as np
 
-from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, _scale, mobius_weights, routh_scan
+from stabindex.kernels import (
+    BOUNDARY_ROOT,
+    ZERO_LEADING,
+    Workspace,
+    _scale,
+    mobius_weights,
+    routh_scan,
+)
 
 
 def mobius_apply(coeffs):
@@ -100,3 +108,15 @@ def char_poly(a):
                 new[j] -= coef * low[j]
         polys.append(new)
     return np.array(polys[n])
+
+
+class HighWaterWorkspace(Workspace):
+    """A Workspace that records in .high the most bytes it has had taken
+    at once, the part of its slab that blocks have used."""
+
+    high = 0
+
+    def take(self, shape, dtype=np.float64):
+        out = super().take(shape, dtype)
+        self.high = max(self.high, self._top)
+        return out

@@ -19,7 +19,7 @@ from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 from stabindex.models import FAMILY_KINDS, ModelFamily
 from stabindex.montecarlo import CHUNK
 
-from reference import char_poly, jury_scan, mobius_apply
+from reference import HighWaterWorkspace, char_poly, jury_scan, mobius_apply
 
 TOL = 1e-12
 # The matrix families run to n = 12, past AUTO_EIGEN_MIN_N, because
@@ -204,8 +204,8 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
     made = []
     block_kernel = kernels._char_poly_block
 
-    def recording_block(mats):
-        coeffs = block_kernel(mats)
+    def recording_block(mats, *workspace):
+        coeffs = block_kernel(mats, *workspace)
         made.append(coeffs)
         return coeffs
 
@@ -320,16 +320,33 @@ def test_zero_radius_pencils_need_a_regular_matrix():
 
 def test_char_poly_width_bounds_the_block_peak():
     """One n = 6 block of _char_poly_width(6) rows allocates no more than
-    _CHAR_POLY_BYTES, the budget the width is derived from."""
+    _BLOCK_BYTES, the budget the width is derived from, and a workspace
+    that serves the block and its Routh or Jury scan uses no more of its
+    slab.  Once the workspace has served a block, the next allocates under
+    a tenth of the budget: only arrays below glibc's 128 KiB mmap
+    threshold, which malloc serves from its heap."""
     n = 6
-    mats = np.random.default_rng(6).standard_normal((kernels._char_poly_width(n), n, n))
-    tracemalloc.start()
-    try:
-        kernels._char_poly_block(mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= kernels._CHAR_POLY_BYTES, f"peak {peak} bytes"
+    for kind in ("cont-sys", "disc-sys"):
+        params = _draws(kind, n, kernels._char_poly_width(n), integer=False)
+        mats, radii = _matrices(kind, n, params), np.abs(params[:, 0])
+        ws = HighWaterWorkspace()
+
+        def codes():
+            if kind == "cont-sys":
+                return kernels.batch_matrix_halfplane(mats, TOL, ws)
+            return kernels.batch_pencil_disk(mats, radii, TOL, ws)
+
+        peaks = []
+        for run in (lambda: kernels._char_poly_block(mats), codes, codes):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= kernels._BLOCK_BYTES, f"{kind}: fresh peak {peaks[0]} bytes"
+        assert ws.high <= kernels._BLOCK_BYTES, f"{kind}: workspace used {ws.high} bytes"
+        assert peaks[2] < kernels._BLOCK_BYTES // 10, f"{kind}: warm peak {peaks[2]} bytes"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
@@ -342,9 +359,9 @@ def test_char_poly_chunk_takes_few_blocks(kind, monkeypatch):
     blocks = []
     block_kernel = kernels._char_poly_block
 
-    def counting_block(mats):
+    def counting_block(mats, *workspace):
         blocks.append(mats.shape[0])
-        return block_kernel(mats)
+        return block_kernel(mats, *workspace)
 
     monkeypatch.setattr(kernels, "_char_poly_block", counting_block)
     _batch_codes(kind, 6, _draws(kind, 6, CHUNK, integer=False))
@@ -366,9 +383,9 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
     sizes = []
     block_kernel = kernels._routh_block
 
-    def recording_block(coeffs, tol, codes):
+    def recording_block(coeffs, tol, codes, *workspace):
         sizes.append(coeffs.shape[1])
-        block_kernel(coeffs, tol, codes)
+        block_kernel(coeffs, tol, codes, *workspace)
 
     monkeypatch.setattr(kernels, "_routh_block", recording_block)
     kernel = kernels.routh_codes if kind == "cont-eq" else kernels.jury_codes

@@ -3,12 +3,19 @@ indeterminate-fraction abort."""
 
 import concurrent.futures
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stabindex import montecarlo
+from stabindex import kernels, montecarlo
 from stabindex.models import DEFAULT_TOL, ModelFamily
+from reference import HighWaterWorkspace
 from stabindex.montecarlo import (
     EstimationAbort,
     EstimationConfig,
@@ -111,26 +118,72 @@ class TestDeterminism:
     @pytest.mark.parametrize("cores", [3, 16])
     def test_pool_is_no_wider_than_the_cores(self, monkeypatch, cores):
         """Threads beyond the cores only trade the interpreter lock, so
-        the pool is min(shards, cores) wide; the histogram is still the
-        shard-ordered merge of all eight substreams."""
-        widths = []
+        the one shard pool is as wide as the cores and at most
+        min(shards, cores) shards of a run go at once, none on the calling
+        thread.  The pool is made once and kept for the next run.  The
+        histogram is still the shard-ordered merge of all eight substreams."""
+        widths, threads, running = [], [], [0, 0]  # running: now, most
+        lock = threading.Lock()
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None):
                 widths.append(max_workers)
                 super().__init__(max_workers)
 
+        shard_run = montecarlo.run_shard
+
+        def recording_shard(cfg, shard):
+            with lock:
+                threads.append(threading.get_ident())
+                running[0] += 1
+                running[1] = max(running)
+            try:
+                return shard_run(cfg, shard)
+            finally:
+                with lock:
+                    running[0] -= 1
+
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        monkeypatch.setattr(montecarlo, "run_shard", recording_shard)
         cfg = EstimationConfig(ModelFamily("cont-sys", 3), 8_000, 17, shards=8)
         whole = run_estimation(cfg)
-        assert widths == [min(8, cores)]
-        acc = run_shard(cfg, 0)
+        pool = montecarlo._pool
+        assert run_estimation(cfg).counts.tolist() == whole.counts.tolist()
+        assert widths == [cores] and montecarlo._pool is pool
+        assert len(threads) == 16 and threading.get_ident() not in threads
+        assert running[1] <= min(8, cores)
+        acc = shard_run(cfg, 0)
         for s in range(1, cfg.shards):
-            acc = merge(acc, run_shard(cfg, s))
+            acc = merge(acc, shard_run(cfg, s))
         assert np.array_equal(acc.counts, whole.counts)
         assert acc.indeterminate == whole.indeterminate
         assert acc.samples == whole.samples == 8_000
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self):
+        """A child forked after a sharded run has none of the parent's pool
+        threads; its own sharded run makes a pool and gives the same
+        histogram instead of waiting on threads that do not exist."""
+        cfg = EstimationConfig(ModelFamily("cont-sys", 3), 4_000, 3, shards=2)
+        want = run_estimation(cfg).counts.tolist()
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            status = 1
+            try:
+                status = 0 if run_estimation(cfg).counts.tolist() == want else 2
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sharded run did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestAgainstKnownValues:
@@ -208,9 +261,9 @@ class TestConvergence:
         drawn = []
         real = montecarlo.batch_indices
 
-        def counting(family, params, method, tol):
+        def counting(family, params, method, tol, *workspace):
             drawn.append(params.shape[0])
-            return real(family, params, method, tol)
+            return real(family, params, method, tol, *workspace)
 
         monkeypatch.setattr(montecarlo, "batch_indices", counting)
         chunk = montecarlo.CHUNK
@@ -257,23 +310,38 @@ class TestConvergence:
                 assert (hist.counts.tolist(), hist.indeterminate) == want
 
     def test_buffered_draws_equal_fresh_draws(self):
-        """Draws through the per-thread buffer equal a fresh draw bit for bit
-        while the buffer grows and shrinks, later blocks reuse its memory,
-        and another thread draws into its own buffer."""
+        """Draws into a shard's workspace equal a fresh draw bit for bit
+        while the block grows and shrinks, and later blocks reuse its
+        memory; a block under glibc's 128 KiB mmap threshold is a fresh
+        array.  A shard that runs while another holds a workspace, on this
+        thread or another, draws into a workspace of its own."""
         blocks = []
-        for shard, (rows, width) in enumerate([(16_384, 36), (100, 3), (9_000, 5)]):
-            got = montecarlo._draw(montecarlo.shard_stream(20231, shard), rows, width)
-            want = montecarlo.shard_stream(20231, shard).standard_normal((rows, width))
-            assert got.shape == want.shape and got.flags.c_contiguous
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            blocks.append(got)
-        assert np.shares_memory(blocks[0], blocks[1])
-        assert np.shares_memory(blocks[0], blocks[2])
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(
-                montecarlo._draw, montecarlo.shard_stream(20231, 9), 100, 3
-            ).result()
-        assert not np.shares_memory(other, blocks[0])
+        ws = montecarlo._take_workspace()
+        try:
+            shapes = [(16_384, 36), (6_000, 3), (9_000, 5), (16_384, 36), (100, 3)]
+            for shard, shape in enumerate(shapes):
+                with ws.scope():
+                    got = ws.take(shape)
+                    montecarlo.shard_stream(20231, shard).standard_normal(out=got)
+                want = montecarlo.shard_stream(20231, shard).standard_normal(shape)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                blocks.append(got)
+            assert all(np.shares_memory(blocks[0], b) for b in blocks[1:4])
+            assert not np.shares_memory(blocks[0], blocks[4])
+            assert self._held_workspace() is not ws
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(self._held_workspace).result() is not ws
+        finally:
+            montecarlo._spare_workspaces.append(ws)
+        assert self._held_workspace() is ws  # handed back, and taken again first
+
+    @staticmethod
+    def _held_workspace():
+        """Take a workspace as a shard does, hand it back, and return it."""
+        ws = montecarlo._take_workspace()
+        montecarlo._spare_workspaces.append(ws)
+        return ws
 
     @pytest.mark.parametrize("kind, n, k", [("disc-eq", 2, 2), ("cont-sys", 3, 0)])
     def test_rows_equal_separate_runs(self, kind, n, k):
@@ -302,6 +370,30 @@ class TestConvergence:
             )
         with pytest.raises(ValueError, match="grid is empty"):
             convergence_study(ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [], seed=20231)
+
+    @pytest.mark.parametrize("k", [1.5, True, 2.0, "2", None])
+    def test_non_integer_k_is_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            convergence_study(ModelFamily("disc-eq", 2), k, DISC_EQ_2_P2, [100], seed=20231)
+
+    @pytest.mark.parametrize("entry", [100.7, 100.0, True, "100", None])
+    def test_non_integer_grid_entry_is_rejected(self, entry):
+        # int() would make 100.7 a 100-sample row
+        with pytest.raises(ValueError, match="grid sample size must be an integer"):
+            convergence_study(
+                ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [entry, 1_000], seed=20231
+            )
+
+    def test_numpy_integer_grid_and_k_are_accepted(self):
+        res = convergence_study(
+            ModelFamily("disc-eq", 2), np.int64(2), DISC_EQ_2_P2,
+            np.array([100, 1_000]), seed=20231,
+        )
+        plain = convergence_study(
+            ModelFamily("disc-eq", 2), 2, DISC_EQ_2_P2, [100, 1_000], seed=20231
+        )
+        assert res.rows == plain.rows
+        assert all(type(m) is int for m, _, _ in res.rows)
 
     def test_requires_finite_exact(self):
         with pytest.raises(ValueError):
@@ -339,3 +431,100 @@ class TestConfigValidation:
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             EstimationConfig(ModelFamily("cont-eq", 1), 10, 0, method="bogus")
+
+    @pytest.mark.parametrize("method", ["rh", "auto"])
+    @pytest.mark.parametrize("family", ["cont-eq", ("cont-eq", 10), None])
+    def test_family_must_be_a_model_family(self, family, method):
+        # a kind string is not a family: it fails here, not inside run_estimation
+        with pytest.raises(ValueError, match="family must be a ModelFamily"):
+            EstimationConfig(family, 10, 1, method=method)
+
+
+class TestWorkingSet:
+    """Each shard draws and classifies blocks sized by one byte budget,
+    kernels._BLOCK_BYTES, on a workspace no other running shard holds."""
+
+    @pytest.mark.parametrize("chunk", [montecarlo.CHUNK, 1 << 20])
+    @pytest.mark.parametrize(
+        "kind, n, samples, method, shards",
+        [
+            ("cont-sys", 6, 60_000, "rh", 1),
+            ("cont-sys", 20, 6_000, "auto", 2),  # the eigen route
+            ("cont-eq", 24, 3_000, "eigen", 1),  # companion stacks
+        ],
+    )
+    def test_peak_is_a_multiple_of_the_budget(
+        self, monkeypatch, chunk, kind, n, samples, method, shards
+    ):
+        """A run's traced peak stays under three budgets whatever CHUNK
+        is, and each workspace it makes uses at most one and a half (a
+        slab of 4 MiB or more is mapped outside tracemalloc's view).
+        Drawing whole CHUNK-row blocks took 2.1 to 6.7 budgets of traced
+        peak on these runs."""
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
+        monkeypatch.setattr(montecarlo, "Workspace", HighWaterWorkspace)
+        cfg = EstimationConfig(ModelFamily(kind, n), samples, 5, method=method, shards=shards)
+        tracemalloc.start()
+        try:
+            run_estimation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = kernels._BLOCK_BYTES
+        used = [ws.high / budget for ws in montecarlo._spare_workspaces]
+        assert 1 <= len(used) <= shards
+        assert peak < 3 * budget, f"peak {peak / budget:.2f} budgets"
+        assert max(used) <= 1.5, f"workspaces used {used} budgets"
+
+    @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_each_block_is_one_char_poly_call(self, monkeypatch, kind, n):
+        """The sign scan's drawn blocks are char-poly blocks, so no block
+        leaves a sliver: every block of a run but the last is one full
+        char-poly call."""
+        drawn, made = [], []
+        real_indices, real_block = montecarlo.batch_indices, kernels._char_poly_block
+
+        def recording_indices(family, params, *rest):
+            drawn.append(params.shape[0])
+            return real_indices(family, params, *rest)
+
+        def recording_block(mats, *workspace):
+            made.append(mats.shape[0])
+            return real_block(mats, *workspace)
+
+        monkeypatch.setattr(montecarlo, "batch_indices", recording_indices)
+        monkeypatch.setattr(kernels, "_char_poly_block", recording_block)
+        rows = min(montecarlo.CHUNK, kernels._char_poly_width(n))
+        samples = 2 * rows + rows // 2
+        run_estimation(EstimationConfig(ModelFamily(kind, n), samples, 3, method="rh"))
+        assert drawn == made == [rows, rows, samples - 2 * rows]
+
+    def test_concurrent_runs_take_their_own_workspaces(self):
+        """Four threads, more than the cores, run 1- and 2-shard
+        estimations of different families at once, with the interpreter
+        switching threads often, and get the histograms of the same runs
+        made one at a time: no running shard shares a workspace."""
+        configs = [
+            EstimationConfig(ModelFamily("cont-sys", 6), 24_000, 11, shards=2),
+            EstimationConfig(ModelFamily("disc-sys", 5), 24_000, 12, shards=2),
+            EstimationConfig(ModelFamily("cont-sys", 4), 20_000, 13),
+            EstimationConfig(ModelFamily("disc-eq", 3), 40_000, 14),
+        ]
+        serial = [run_estimation(cfg).counts.tolist() for cfg in configs]
+        start = threading.Barrier(len(configs))
+
+        def runs(cfg):
+            start.wait()
+            return [run_estimation(cfg).counts.tolist() for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(configs)) as pool:
+                futures = [pool.submit(runs, cfg) for cfg in configs]
+                together = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == [[counts] * 3 for counts in serial]
