@@ -16,6 +16,7 @@ The characteristic polynomial takes O(n^3) flops: Householder reduction to
 Hessenberg form, then La Budde's recurrence.
 """
 
+import mmap
 from contextlib import nullcontext
 from functools import lru_cache
 from math import comb, prod
@@ -241,47 +242,43 @@ def routh_scan(coeffs, tol):
 # retakes the lock, so two thread shards overlap only while the calls are
 # long.  On a 2-core VM two threads ran the kernel 0.98x as fast as one at
 # 2818 columns (2 MiB) and 1.27x at 5637 (4 MiB).  The same budget sizes
-# the eigenvalue routes' (block, n, n) stacks (_eigen_width), so no route's
-# block outgrows it.
+# the eigenvalue routes' (block, n, n) stacks (_eigen_width), those of
+# "auto"'s eigenvalue fallback included, so no route's block outgrows it.
 
 _SCAN_BYTES = 120 << 10
 _SCAN_COLUMNS = 4096
 _BLOCK_BYTES = 4 << 20
 _MMAP_BYTES = 128 << 10  # glibc's default mmap threshold
-_HUGE_BYTES = 4 << 20  # numpy advises huge pages from this size on
 _ALIGN = 16  # bytes: workspace arrays keep malloc's alignment
 
 
 class Workspace:
     """Scratch memory that one caller reuses block after block.
 
-    take(shape, dtype) carves a C-contiguous array off the top of one byte
-    slab; a scope (``with ws.scope():``) gives back, when it exits,
-    everything taken inside it, so a block's arrays, and each phase's
-    within it, stack up and fall away in order.  An array under glibc's
-    128 KiB mmap threshold is a fresh np.empty instead: malloc serves it
-    from its heap and hands the same pages to the next block.  A take past
-    the end of the slab moves the workspace to a new slab at least twice as
-    large, at the same offsets; the arrays already taken keep the old one
-    alive until they are dropped.  So the first block a workspace serves
-    sizes it, and later blocks of that size allocate nothing.  Only the
-    pages a block touches become resident.  Arrays taken inside a scope
-    must not be used after it exits.
+    take(shape, dtype) carves a C-contiguous array off the top of one fixed
+    slab, room for a drawn block and a char-poly block; a scope (``with
+    ws.scope():``) gives back, when it exits, everything taken inside it,
+    so a block's arrays, and each phase's within it, stack up and fall away
+    in order.  The slab is mapped directly, not advised to use huge pages
+    as numpy's large arrays are, so only the pages a block touches become
+    resident.  An array under glibc's 128 KiB mmap threshold, or one the
+    slab has no room left for, is a fresh np.empty instead: malloc serves a
+    small one from its heap and hands the same pages to the next block.
+    Arrays taken inside a scope must not be used after it exits.
     """
 
     def __init__(self):
-        self._slab = np.empty(0, dtype=np.uint8)
+        self._slab = np.frombuffer(mmap.mmap(-1, 2 * _BLOCK_BYTES), dtype=np.uint8)
         self._top = 0
         self._marks = []
 
     def take(self, shape, dtype=np.float64):
         nbytes = np.dtype(dtype).itemsize * prod(shape)
-        if nbytes < _MMAP_BYTES:
-            return np.empty(shape, dtype)
         start = self._top
-        self._top = top = start + -(-nbytes // _ALIGN) * _ALIGN
-        if top > self._slab.size:
-            self._slab = _new_slab(max(top, 2 * self._slab.size))
+        top = start + -(-nbytes // _ALIGN) * _ALIGN
+        if nbytes < _MMAP_BYTES or top > self._slab.size:
+            return np.empty(shape, dtype)
+        self._top = top
         return np.ndarray(shape, dtype, self._slab, start)
 
     def scope(self):
@@ -293,18 +290,6 @@ class Workspace:
 
     def __exit__(self, *exc):
         self._top = self._marks.pop()
-
-
-def _new_slab(nbytes):
-    """nbytes of scratch.  From _HUGE_BYTES on the slab is mapped directly:
-    numpy would advise huge pages for it, and a huge page becomes resident
-    whole once any byte of it is touched, so the slab's resident size would
-    hang on its alignment."""
-    if nbytes >= _HUGE_BYTES:
-        import mmap
-
-        return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
-    return np.empty(nbytes, dtype=np.uint8)
 
 
 class _Fresh:

@@ -32,20 +32,6 @@ _CODE_REASONS = {
 FAMILY_KINDS = ("cont-sys", "cont-eq", "disc-sys", "disc-eq")
 METHODS = ("rh", "eigen", "auto")
 
-# "auto" takes the sign-scan route (characteristic polynomial + Routh scan)
-# below this order and batched eigenvalues from it on.  Through n = 10, the
-# orders verify's oracle checks for the matrix families, the scan agrees
-# with eigenvalues on every row both certify.  Speed no longer argues for
-# the switch: with the O(n^3) characteristic polynomial the scan is ahead of
-# LAPACK for the matrix families at every order measured, 4.9x at cont-sys
-# n = 12 and 2.4x at n = 20 (32768 samples, one thread).  Certification
-# still does: at high order the scan calls rows indeterminate rather than
-# miscounting them, and for cont-sys at n = 22 that already exceeds the
-# estimation's 1e-3 budget (28 of 5000 rows).  Moving the switch changes
-# the reports at every order it passes, so it stays here until each
-# family's certification limit is measured.
-AUTO_EIGEN_MIN_N = 11
-
 
 @dataclass(frozen=True)
 class RootCount:
@@ -193,9 +179,8 @@ def char_poly(m) -> np.ndarray:
 
     Householder reduction to Hessenberg form, then La Budde's recurrence:
     O(n^3) flops, run by the batch kernel on a one-matrix stack.  At high
-    n the coefficients lose enough accuracy that the sign scan stops
-    certifying rows; that, not speed, is why "auto" leaves this route from
-    AUTO_EIGEN_MIN_N on.
+    n the coefficients lose enough accuracy that the sign scan leaves more
+    rows indeterminate; "auto" hands those rows to eigenvalues.
     """
     return kernels._char_poly_block(_as_square(m)[None])[:, 0]
 
@@ -242,11 +227,12 @@ class ModelFamily:
 
 
 def resolve_method(family: ModelFamily, method: str) -> str:
+    """The route ``method`` starts ``family`` on: "rh" (the sign scan) or
+    "eigen".  "auto" is the sign scan at every order; batch_indices hands
+    the rows it leaves indeterminate to the eigenvalue route."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method != "auto":
-        return method
-    return "rh" if family.n < AUTO_EIGEN_MIN_N else "eigen"
+    return "rh" if method == "auto" else method
 
 
 def block_rows(family: ModelFamily, method: str, cap: int) -> int:
@@ -278,9 +264,13 @@ def batch_indices(
 
     Only this function knows the row layout: cont-sys is A row-major;
     disc-sys is (b, A row-major), counted within radius |b|; the equation
-    families are coefficients highest degree first.  Each block is unpacked
-    once into what both routes of its family take: ascending coefficient
-    columns, a (count, n, n) matrix stack, or that stack and the radii |b|.
+    families are coefficients highest degree first.  A block is unpacked
+    into what its family's routes take: ascending coefficient columns, a
+    (count, n, n) matrix stack, or that stack and the radii |b|.  Under
+    "auto" every row takes the sign scan, and the rows it leaves
+    indeterminate take the eigenvalue route, in slices of
+    block_rows(family, "eigen", ...) rows; such a row stays indeterminate
+    only when eigenvalues fail as well, and then carries their code.
     Returns int64 codes (count k >= 0, or a negative indeterminate code from
     .kernels).  Raises ValueError for a NaN or infinite parameter, which the
     routes would otherwise classify differently or not at all.  The sign
@@ -297,29 +287,39 @@ def batch_indices(
     if not (np.isfinite(params.min(initial=0.0)) and np.isfinite(params.max(initial=0.0))):
         raise ValueError("params must be finite")
     validate_tol(tol)
-    how = resolve_method(family, method)
     n = family.n
-    if family.kind == "cont-eq":
-        coeffs = params.T[::-1]
-        if how == "rh":
-            return kernels.routh_codes(coeffs, tol)
-        return kernels.companion_region_codes(coeffs, "left-half-plane", tol)
-    if family.kind == "disc-eq":
-        coeffs = params.T[::-1]
-        if how == "rh":
-            return kernels.jury_codes(coeffs, tol)
-        return kernels.companion_region_codes(coeffs, "disk", tol)
-    if family.kind == "cont-sys":
-        mats = params.reshape(-1, n, n)
-        if how == "rh":
-            return kernels.batch_matrix_halfplane(mats, tol, workspace)
-        return kernels.eig_halfplane_codes(mats, tol)
-    # disc-sys
-    radii = np.abs(params[:, 0])
-    mats = params[:, 1:].reshape(-1, n, n)
-    if how == "rh":
-        return kernels.batch_pencil_disk(mats, radii, tol, workspace)
-    return kernels.eig_disk_codes(mats, radii, tol)
+
+    def codes_of(block, route):
+        if family.kind == "cont-eq":
+            coeffs = block.T[::-1]
+            if route == "rh":
+                return kernels.routh_codes(coeffs, tol)
+            return kernels.companion_region_codes(coeffs, "left-half-plane", tol)
+        if family.kind == "disc-eq":
+            coeffs = block.T[::-1]
+            if route == "rh":
+                return kernels.jury_codes(coeffs, tol)
+            return kernels.companion_region_codes(coeffs, "disk", tol)
+        if family.kind == "cont-sys":
+            mats = block.reshape(-1, n, n)
+            if route == "rh":
+                return kernels.batch_matrix_halfplane(mats, tol, workspace)
+            return kernels.eig_halfplane_codes(mats, tol)
+        # disc-sys
+        radii = np.abs(block[:, 0])
+        mats = block[:, 1:].reshape(-1, n, n)
+        if route == "rh":
+            return kernels.batch_pencil_disk(mats, radii, tol, workspace)
+        return kernels.eig_disk_codes(mats, radii, tol)
+
+    codes = codes_of(params, resolve_method(family, method))
+    if method == "auto" and codes.min(initial=0) < 0:
+        rows = np.flatnonzero(codes < 0)
+        step = block_rows(family, "eigen", rows.size)
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            codes[part] = codes_of(params[part], "eigen")
+    return codes
 
 
 def index_from_params(

@@ -13,8 +13,8 @@ the matrix families takes its char-poly and Routh working arrays from the
 same workspace.  Workspaces outlive the shards and threads that use them:
 a shard takes a spare one when it starts and hands it back when it ends,
 so no two running shards share one, and warm blocks map no fresh pages.
-Each holds what its largest block needed: a 3,000-row job's block never
-grows it to the byte budget.
+Each maps one fixed slab, of which a block makes resident only the pages
+it touches: a 3,000-row job's block touches a fraction of a budget.
 """
 
 import math
@@ -187,7 +187,7 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
                     indet = int(seen[:shift].sum())
                     yield IndexHistogram(family, seen[shift:], indet, size, cfg.seed)
                     size = next(pending, None)
-            del params, codes  # a slab the workspace has outgrown is freed here
+            del params, codes  # a draw block the slab could not hold is freed here
             total += tally
             done += take
     finally:

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import build_constraints, exact_probabilities
-from .models import AUTO_EIGEN_MIN_N, DEFAULT_TOL, FAMILY_KINDS, ModelFamily
+from .models import DEFAULT_TOL, FAMILY_KINDS, ModelFamily
 from .models import batch_indices
 from .montecarlo import DEFAULT_SEED, MAX_INDETERMINATE_FRACTION, EstimationAbort
 from .montecarlo import EstimationConfig, frequencies
 from .montecarlo import run_estimation, shard_stream
 
-# Highest order each sweep covers; _MAX_N is shared by the constraint
-# closure, catalog and indeterminate-budget checks.
+# Highest order each sweep covers; _MAX_N is shared by the oracle,
+# constraint closure, catalog and indeterminate-budget checks.
 _MEAN_MAX_N = 6
 _MAX_N = 10
 
@@ -59,7 +59,7 @@ def _power_floor(bad_rate: float) -> int:
 
 
 # Oracle family -> (RNG substream offset, what its index counts).  Each
-# family is compared at every order "auto" sends to the sign scan.
+# family is compared at orders 1.._MAX_N.
 _ORACLE_CASES = {
     "cont-eq": (0, "half-plane count"),
     "disc-eq": (1, "disk count"),
@@ -91,7 +91,7 @@ def check_oracle(
     rng = shard_stream(seed, _ORACLE_KEY + offset)
     mismatched = 0
     compared = []
-    for n in range(1, AUTO_EIGEN_MIN_N):
+    for n in range(1, _MAX_N + 1):
         family = ModelFamily(kind, n)
         params = rng.standard_normal((per_degree, family.param_count))
         scan = batch_indices(family, params, "rh", tol)

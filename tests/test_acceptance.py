@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from stabindex.constraints import build_constraints
-from stabindex.models import AUTO_EIGEN_MIN_N, ModelFamily
+from stabindex.models import ModelFamily
 from stabindex.montecarlo import (
     DEFAULT_SEED,
     EstimationConfig,
@@ -111,8 +111,7 @@ def test_criterion_5_oracle_equivalence():
     disk = verify.check_oracle("disc-eq", per_degree=10_000, seed=SEED)
     ok = half.passed and disk.passed
     _criterion(
-        "criterion 5 (count vs eigenvalue oracle, 10^4 polys per degree "
-        f"1..{AUTO_EIGEN_MIN_N - 1})",
+        "criterion 5 (count vs eigenvalue oracle, 10^4 polys per degree 1..10)",
         ok,
         f"{half.detail}; {disk.detail}",
     )

@@ -71,12 +71,18 @@ class TestEstimate:
 
     def test_high_order_takes_eigen_route(self, capsys):
         # the sign scan leaves too many cont-sys rows indeterminate at n = 24
-        # for the abort budget; "auto" must take the eigenvalue route there
+        # for the abort budget; "auto" must settle them by eigenvalues
         code, _, err = run_cli(
             capsys,
             "estimate", "--family", "cont-sys", "--n", "24", "--samples", "2000",
         )
         assert code == 0, err
+        code, _, _ = run_cli(
+            capsys,
+            "estimate", "--family", "cont-sys", "--n", "24", "--samples", "2000",
+            "--method", "rh",
+        )
+        assert code == 2
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(

@@ -22,8 +22,8 @@ from stabindex.montecarlo import CHUNK
 from reference import HighWaterWorkspace, char_poly, jury_scan, mobius_apply
 
 TOL = 1e-12
-# The matrix families run to n = 12, past AUTO_EIGEN_MIN_N, because
-# `--method rh` reaches those orders.
+# The matrix families run to n = 12, past verify's oracle orders (1..10),
+# because the sign scan reaches those orders.
 DEGREES = {"cont-eq": range(1, 9), "disc-eq": range(1, 9),
            "cont-sys": range(1, 13), "disc-sys": range(1, 13)}
 # Normal rows per degree.  The scalar char_poly reference costs ~0.2 ms a

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from stabindex import kernels
+from stabindex.kernels import ZERO_PIVOT
 from stabindex.models import (
     FAMILY_KINDS,
     METHODS,
@@ -66,15 +68,12 @@ class TestModelFamily:
         assert ModelFamily("cont-sys", np.int64(3)).param_count == 9
 
     def test_auto_method_switch(self):
-        # the sign scan through n = 10, the orders verify's oracle checks
-        # for the matrix families; eigenvalues from n = 11, as LAPACK catches
-        # up with the O(n^4) trace recurrence and, at high order, the scan
-        # leaves too many rows indeterminate
+        # "auto" starts every order on the sign scan; batch_indices hands
+        # the rows the scan leaves indeterminate to eigenvalues
+        # (TestAutoFallback)
         for kind in FAMILY_KINDS:
-            for n in range(1, 11):
+            for n in (*range(1, 12), 24):
                 assert resolve_method(ModelFamily(kind, n), "auto") == "rh", (kind, n)
-            for n in (11, 24):
-                assert resolve_method(ModelFamily(kind, n), "auto") == "eigen", (kind, n)
             assert resolve_method(ModelFamily(kind, 24), "rh") == "rh"
             assert resolve_method(ModelFamily(kind, 3), "eigen") == "eigen"
 
@@ -216,3 +215,71 @@ class TestVariateBudget:
         got = sample_index(ModelFamily("cont-eq", 2), np.random.default_rng(1))
         assert isinstance(got, RootCount)
         assert got.determinate and 0 <= got.count <= 2
+
+
+def _cont_sys_24(rows=300):
+    fam = ModelFamily("cont-sys", 24)
+    return fam, np.random.default_rng(24).standard_normal((rows, fam.param_count))
+
+
+class TestAutoFallback:
+    """Under "auto" the sign scan classifies every row, and only the rows it
+    leaves indeterminate take the eigenvalue route."""
+
+    def test_zero_pivot_row_is_settled_by_eigenvalues(self):
+        # x^4 + x^3 + x^2 + x + 1 has the primitive fifth roots of unity as
+        # roots, two with Re < 0; its Routh array meets a zero pivot
+        fam = ModelFamily("cont-eq", 4)
+        row = np.ones((1, 5))
+        assert batch_indices(fam, row, "rh")[0] == ZERO_PIVOT
+        assert batch_indices(fam, row, "eigen")[0] == 2
+        assert batch_indices(fam, row, "auto")[0] == 2
+        assert index_from_params(fam, row[0]) == RootCount(count=2)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in FAMILY_KINDS for n in (12, 16, 24)]
+        + [(kind, n) for kind in ("cont-eq", "disc-eq") for n in (32, 40)],
+    )
+    def test_high_orders_agree_with_eigenvalues(self, kind, n):
+        fam = ModelFamily(kind, n)
+        params = np.random.default_rng(n).standard_normal((300, fam.param_count))
+        auto = batch_indices(fam, params, "auto")
+        eig = batch_indices(fam, params, "eigen")
+        both = (auto >= 0) & (eig >= 0)
+        assert both.sum() >= 297
+        assert np.array_equal(auto[both], eig[both])
+        # a row stays indeterminate only where eigenvalues fail as well
+        assert np.array_equal(auto[auto < 0], eig[auto < 0])
+
+    def test_scan_runs_first(self, monkeypatch):
+        fam, params = _cont_sys_24()
+        left = int((batch_indices(fam, params, "rh") < 0).sum())
+        assert left > 0  # n = 24 is past the scan's certification limit
+        calls = []
+        for name in ("batch_matrix_halfplane", "eig_halfplane_codes"):
+            real = getattr(kernels, name)
+
+            def recording(mats, *rest, name=name, real=real):
+                calls.append((name, mats.shape[0]))
+                return real(mats, *rest)
+
+            monkeypatch.setattr(kernels, name, recording)
+        batch_indices(fam, params, "auto")
+        assert calls == [("batch_matrix_halfplane", 300), ("eig_halfplane_codes", left)]
+
+    def test_fallback_runs_in_eigen_blocks(self, monkeypatch):
+        fam, params = _cont_sys_24()
+        whole = batch_indices(fam, params, "auto")
+        left = int((batch_indices(fam, params, "rh") < 0).sum())
+        widths = []
+        real = kernels.eig_halfplane_codes
+
+        def recording(mats, tol):
+            widths.append(mats.shape[0])
+            return real(mats, tol)
+
+        monkeypatch.setattr(kernels, "_eigen_width", lambda n: 7)
+        monkeypatch.setattr(kernels, "eig_halfplane_codes", recording)
+        assert np.array_equal(batch_indices(fam, params, "auto"), whole)
+        assert max(widths) == 7 and sum(widths) == left

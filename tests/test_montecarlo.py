@@ -449,18 +449,22 @@ class TestWorkingSet:
         "kind, n, samples, method, shards",
         [
             ("cont-sys", 6, 60_000, "rh", 1),
-            ("cont-sys", 20, 6_000, "auto", 2),  # the eigen route
+            ("cont-sys", 20, 6_000, "eigen", 2),  # the eigen route
+            ("cont-sys", 20, 6_000, "rh", 2),
             ("cont-eq", 24, 3_000, "eigen", 1),  # companion stacks
+            ("disc-eq", 48, 1_000, "auto", 1),  # the eigen fallback takes most rows
         ],
     )
     def test_peak_is_a_multiple_of_the_budget(
         self, monkeypatch, chunk, kind, n, samples, method, shards
     ):
-        """A run's traced peak stays under three budgets whatever CHUNK
-        is, and each workspace it makes uses at most one and a half (a
-        slab of 4 MiB or more is mapped outside tracemalloc's view).
-        Drawing whole CHUNK-row blocks took 2.1 to 6.7 budgets of traced
-        peak on these runs."""
+        """A run's traced peak, plus the most any of its workspaces used,
+        stays under three budgets whatever CHUNK is, and each workspace uses
+        at most one and a half (the slab is mapped outside tracemalloc's
+        view).  Drawing whole CHUNK-row blocks took 2.1 to 6.7 budgets of
+        traced peak on these runs; at disc-eq n = 48 the scan leaves nearly
+        every row to the eigen fallback, whose unsliced companion stack
+        would take 18 MB."""
         monkeypatch.setattr(montecarlo, "CHUNK", chunk)
         monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
         monkeypatch.setattr(montecarlo, "Workspace", HighWaterWorkspace)
@@ -474,7 +478,7 @@ class TestWorkingSet:
         budget = kernels._BLOCK_BYTES
         used = [ws.high / budget for ws in montecarlo._spare_workspaces]
         assert 1 <= len(used) <= shards
-        assert peak < 3 * budget, f"peak {peak / budget:.2f} budgets"
+        assert peak / budget + max(used) < 3, f"peak {peak / budget:.2f} budgets, used {used}"
         assert max(used) <= 1.5, f"workspaces used {used} budgets"
 
     @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
