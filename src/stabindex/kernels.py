@@ -213,18 +213,19 @@ def routh_scan(coeffs, tol):
 # across the samples at several times the cost.
 #
 # Every kernel runs over column blocks of its chunk (_column_blocks), which
-# only split the sample axis, so no sample's float operations change.  The
-# equation families' scans (routh_codes, jury_codes) take blocks whose
-# (n+1, block) arrays stay under _SCAN_BYTES, below glibc's default 128 KiB
-# mmap threshold: malloc serves them from its heap and hands the same pages
-# to the next block.  A chunk-wide array is mapped fresh on every call
-# instead, and faults its pages in one by one: the unblocked scans took 476
-# minor faults per 10k-row cont-eq n=4 call and 658 for disc-eq, and the
-# blocked ones take none.  _SCAN_COLUMNS caps the width at n <= 2, where a
-# block's Routh rows, Moebius image, thresholds and running minima would
-# otherwise outgrow what malloc keeps between blocks: on uncapped
-# 7680-column blocks a warm 10k-row n = 1 jury_codes call took 58 to 88
-# minor faults, and on 4096-column blocks none.
+# only split the sample axis, so no sample's float operations change.  Each
+# block's working arrays fit one byte budget, _BLOCK_BYTES, and the Monte
+# Carlo layer draws blocks of the same width (models.block_rows), so each
+# drawn block is one block call.  The equation families' scans
+# (routh_codes, jury_codes) are sized by what the Jury scan holds at once
+# (_scan_width): 3n + 4 float rows while it maps its block, then
+# 3(n//2 + 1) + n + 4 float rows and n + 2 bool rows while it scans the
+# image.  The chunk (montecarlo.CHUNK, 16384 rows) caps that width up to
+# n = 9; at n = 40 it is 4206 columns.  These scans once cut a block into
+# pieces of 120 KiB, under glibc's 128 KiB mmap threshold, only so that
+# malloc would hand the same heap pages to one piece after another; a
+# Workspace does that for arrays of any size, and the fixed cost of a
+# block's numpy calls is now paid once per drawn block.
 #
 # The char-poly kernel reduces an (n, n, block) copy of each block in place
 # and forms each Householder update's products in one (n, n-1, block)
@@ -232,21 +233,19 @@ def routh_scan(coeffs, tol):
 # the stack and the larger of its two phases' working arrays take at most
 # 2n^2 + 2n + 3 float rows, which _char_poly_width keeps within _BLOCK_BYTES
 # (5637 rows at n = 6, 2250 at n = 10); the Routh or Jury scan of the
-# coefficients reuses the stack's rows once it is dead.  These arrays are
-# far above the mmap threshold, so they come from a Workspace: the Monte
-# Carlo layer passes each shard's, which serves every block from the same
-# pages, and a caller without one gets fresh arrays.  A kernel leaves what
-# it takes taken; the scope of its caller's block gives it back.  The width
-# is set by the interpreter lock, not by memory: a block makes over 200
-# numpy calls at n = 6 whatever its width, and each call releases and
-# retakes the lock, so two thread shards overlap only while the calls are
-# long.  On a 2-core VM two threads ran the kernel 0.98x as fast as one at
-# 2818 columns (2 MiB) and 1.27x at 5637 (4 MiB).  The same budget sizes
-# the eigenvalue routes' (block, n, n) stacks (_eigen_width), those of
-# "auto"'s eigenvalue fallback included, so no route's block outgrows it.
+# coefficients reuses the stack's rows once it is dead.  Every kernel takes
+# its arrays from a Workspace: the Monte Carlo layer passes each shard's,
+# which serves every block from the same pages, and a caller without one
+# gets fresh arrays.  A kernel leaves what it takes taken; the scope of its
+# caller's block gives it back.  The width is set by the interpreter lock,
+# not by memory: a block makes over 200 numpy calls at n = 6 whatever its
+# width, and each call releases and retakes the lock, so two thread shards
+# overlap only while the calls are long.  On a 2-core VM two threads ran
+# the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at 5637
+# (4 MiB).  The same budget sizes the eigenvalue routes' (block, n, n)
+# stacks (_eigen_width), those of "auto"'s eigenvalue fallback included, so
+# no route's block outgrows it.
 
-_SCAN_BYTES = 120 << 10
-_SCAN_COLUMNS = 4096
 _BLOCK_BYTES = 4 << 20
 _MMAP_BYTES = 128 << 10  # glibc's default mmap threshold
 _ALIGN = 16  # bytes: workspace arrays keep malloc's alignment
@@ -256,7 +255,8 @@ class Workspace:
     """Scratch memory that one caller reuses block after block.
 
     take(shape, dtype) carves a C-contiguous array off the top of one fixed
-    slab, room for a drawn block and a char-poly block; a scope (``with
+    slab, room for a drawn block and the working arrays of one block of
+    any route, each within _BLOCK_BYTES; a scope (``with
     ws.scope():``) gives back, when it exits, everything taken inside it,
     so a block's arrays, and each phase's within it, stack up and fall away
     in order.  The slab is mapped directly, not advised to use huge pages
@@ -316,8 +316,17 @@ def _column_blocks(count, width):
 
 
 def _scan_width(n):
-    """Columns per block of the degree-n Routh and Jury scans."""
-    return max(1, min(_SCAN_COLUMNS, _SCAN_BYTES // (8 * (n + 1))))
+    """Columns per block of the degree-n Routh and Jury scans: what the
+    Jury scan holds at once (_jury_block) fits _BLOCK_BYTES.  Per column
+    that is its codes and Moebius image, n + 2 float rows, and a bool row,
+    then the larger of the Moebius map's two working arrays, 2n + 2 float
+    rows, and the Routh scan of the image, 3(n//2 + 1) + 2 float rows and
+    n + 1 bool rows; besides, the (n+1, n+1) Moebius weights and 4 KiB for
+    the iterators and views of numpy's calls.  The Routh scan alone takes
+    fewer."""
+    held = 8 * (n + 2) + 1
+    scan = max(16 * (n + 1), 8 * (3 * (n // 2 + 1) + 2) + n + 1)
+    return max(1, (_BLOCK_BYTES - 8 * (n + 1) ** 2 - 4096) // (held + scan))
 
 
 def _char_poly_width(n):
@@ -337,17 +346,25 @@ def _eigen_width(n):
 def _abs_max(cols, ws=_FRESH):
     """Per-column max |x|, skipping NaN as routh_scan's _scale does, in an
     array taken from ws (fresh arrays by default).  |x| is formed in a
-    C-order temporary: on a transposed view the reduction would otherwise
-    run across the contiguous axis, many times slower."""
-    absolute = np.abs(cols, out=ws.take(cols.shape))
-    return np.fmax.reduce(absolute, axis=0, initial=0.0, out=ws.take(cols.shape[1:]))
+    C-order temporary, given back on return: on a transposed view the
+    reduction would otherwise run across the contiguous axis, many times
+    slower."""
+    out = ws.take(cols.shape[1:])
+    with ws.scope():
+        absolute = np.abs(cols, out=ws.take(cols.shape))
+        np.fmax.reduce(absolute, axis=0, initial=0.0, out=out)
+    return out
 
 
-def routh_codes(coeffs, tol):
-    """routh_scan of each column of an (n+1, count) ascending-coefficient array."""
+def routh_codes(coeffs, tol, ws=None):
+    """routh_scan of each column of an (n+1, count) ascending-coefficient
+    array, one scan block at a time, with working arrays from ws (fresh
+    arrays when None)."""
+    ws = _FRESH if ws is None else ws
     codes = np.empty(coeffs.shape[1], dtype=np.int64)
     for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
-        _routh_block(coeffs[:, cols], tol, codes[cols])
+        with ws.scope():
+            _routh_block(coeffs[:, cols], tol, codes[cols], ws)
     return codes
 
 
@@ -363,34 +380,37 @@ def _routh_block(coeffs, tol, codes, ws=_FRESH):
     routh_scan's own.  Every other column saw routh_scan's float operations
     in routh_scan's order.  Three buffers rotate through the roles prev,
     cur and nxt.  Every working array is taken from ws (fresh arrays by
-    default).
+    default): 3(n//2 + 1) + 2 float rows and 2n + 1 bool rows at most,
+    the Routh rows given back before the sign changes are counted.
     """
     n, count = coeffs.shape[0] - 1, coeffs.shape[1]
     thr = _abs_max(coeffs, ws)
     thr *= tol
-    prev, cur, nxt = ws.take((3, n // 2 + 1, count))
-    np.copyto(prev, coeffs[::-2])
-    cur[(n + 1) // 2 :] = 0.0
-    cur[: (n + 1) // 2] = coeffs[-2::-2]
-    least = np.abs(prev[0], out=ws.take((count,)))
+    least = ws.take((count,))
     signs = ws.take((n + 1, count), bool)  # pivot signs, row by row
-    np.greater(prev[0], 0.0, out=signs[0])
-    with np.errstate(all="ignore"):
-        for step in range(1, n + 1):  # cur holds the row of degree n - step
-            np.greater(cur[0], 0.0, out=signs[step])
-            np.minimum(least, np.abs(cur[0], out=nxt[0]), out=least)
-            if step == n:
-                break
-            # nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv; prev[1:]
-            # holds top * cur[1:] once piv * prev[1:] is taken
-            piv = cur[0]
-            np.multiply(piv, prev[1:], out=nxt[:-1])
-            np.multiply(prev[0], cur[1:], out=prev[1:])
-            np.subtract(nxt[:-1], prev[1:], out=nxt[:-1])
-            np.divide(nxt[:-1], piv, out=nxt[:-1])
-            nxt[-1] = 0.0
-            prev, cur, nxt = cur, nxt, prev
-    del prev, cur, nxt  # free the Routh rows before counting sign changes
+    with ws.scope():
+        prev, cur, nxt = ws.take((3, n // 2 + 1, count))
+        np.copyto(prev, coeffs[::-2])
+        cur[(n + 1) // 2 :] = 0.0
+        cur[: (n + 1) // 2] = coeffs[-2::-2]
+        np.abs(prev[0], out=least)
+        np.greater(prev[0], 0.0, out=signs[0])
+        with np.errstate(all="ignore"):
+            for step in range(1, n + 1):  # cur holds the row of degree n - step
+                np.greater(cur[0], 0.0, out=signs[step])
+                np.minimum(least, np.abs(cur[0], out=nxt[0]), out=least)
+                if step == n:
+                    break
+                # nxt[:-1] = (piv * prev[1:] - top * cur[1:]) / piv, with
+                # piv = cur[0] and top = prev[0]; prev[1:] holds
+                # top * cur[1:] once piv * prev[1:] is taken
+                np.multiply(cur[0], prev[1:], out=nxt[:-1])
+                np.multiply(prev[0], cur[1:], out=prev[1:])
+                np.subtract(nxt[:-1], prev[1:], out=nxt[:-1])
+                np.divide(nxt[:-1], cur[0], out=nxt[:-1])
+                nxt[-1] = 0.0
+                prev, cur, nxt = cur, nxt, prev
+        del prev, cur, nxt  # fresh Routh rows are freed here
     flips = np.not_equal(signs[1:], signs[:-1], out=ws.take((n, count), bool))
     np.add.reduce(flips, axis=0, dtype=np.int64, out=codes)
     np.subtract(n, codes, out=codes)
@@ -398,7 +418,7 @@ def _routh_block(coeffs, tol, codes, ws=_FRESH):
         codes[col] = routh_scan(coeffs[:, col], tol)
 
 
-def jury_codes(coeffs, tol):
+def jury_codes(coeffs, tol, ws=None):
     """Number of roots with |x| < 1 of each column of an (n+1, count)
     ascending-coefficient array: the conformal map to a half-plane, then
     the Routh scan.
@@ -408,36 +428,58 @@ def jury_codes(coeffs, tol):
     routh_codes.  Its ZERO_LEADING (a degree drop: the input vanishes at
     x = 1, on the disk boundary) becomes BOUNDARY_ROOT.  Columns whose own
     leading coefficient is ~0 are then overwritten with ZERO_LEADING,
-    whatever their image gave.
+    whatever their image gave.  It runs one scan block at a time, with
+    working arrays from ws (fresh arrays when None).
     """
+    ws = _FRESH if ws is None else ws
     codes = np.empty(coeffs.shape[1], dtype=np.int64)
     for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
-        _jury_block(coeffs[:, cols], tol, codes[cols])
+        with ws.scope():
+            _jury_block(coeffs[:, cols], tol, codes[cols], ws)
     return codes
 
 
 def _jury_block(coeffs, tol, codes, ws=_FRESH):
     """Write jury_codes of an (n+1, count) block into codes, with working
-    arrays from ws (fresh arrays by default)."""
-    scale = _abs_max(coeffs, ws)
-    small_lead = (scale == 0.0) | (np.abs(coeffs[-1]) <= tol * scale)
+    arrays from ws (fresh arrays by default): the flags of a ~0 leading
+    coefficient, then the Moebius image (_mobius_block), then the Routh
+    scan of the image (_routh_block), as _scan_width counts."""
+    small_lead = _small_leads(coeffs, tol, ws)
     _routh_block(_mobius_block(coeffs, ws), tol, codes, ws)
     codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
     codes[small_lead] = ZERO_LEADING
+
+
+def _small_leads(coeffs, tol, ws):
+    """Whether each column's leading coefficient is ~0: at most tol times
+    the column's largest |c|, or the column all zero.  The flags are taken
+    from ws, and the scale above them, given back on return."""
+    small = ws.take(coeffs.shape[1:], bool)
+    with ws.scope():
+        scale = _abs_max(coeffs, ws)
+        np.equal(scale, 0.0, out=small)
+        scale *= tol
+        small |= np.abs(coeffs[-1], out=ws.take(scale.shape)) <= scale
+    return small
 
 
 def _mobius_block(coeffs, ws=_FRESH):
     """Each column of an (n+1, count) block c mapped through
     x = (z+1)/(z-1): sum_j c[j] (z+1)^j (z-1)^(n-j), accumulated term by
     term, j ascending, against mobius_weights(n).  The image is taken from
-    ws (fresh arrays by default)."""
+    ws (fresh arrays by default), and above it a C-order copy of the block
+    and the term array, given back on return: a transposed view's rows
+    would be read strided n + 1 times each."""
     weights = mobius_weights(coeffs.shape[0] - 1)
     star = ws.take(coeffs.shape)
     star.fill(0.0)
-    term = ws.take(coeffs.shape)
-    for j, row in enumerate(coeffs):
-        np.multiply(weights[j][:, None], row, out=term)
-        star += term
+    with ws.scope():
+        rows = ws.take(coeffs.shape)
+        np.copyto(rows, coeffs)
+        term = ws.take(coeffs.shape)
+        for j, row in enumerate(rows):
+            np.multiply(weights[j][:, None], row, out=term)
+            star += term
     return star
 
 

@@ -237,11 +237,12 @@ def resolve_method(family: ModelFamily, method: str) -> str:
 
 def block_rows(family: ModelFamily, method: str, cap: int) -> int:
     """Rows per drawn block of ``family`` on the route ``method`` resolves
-    to, at most ``cap``: one char-poly block (kernels._char_poly_width) for
-    the sign scan of the matrix families, a (rows, n, n) stack within
-    kernels._BLOCK_BYTES (kernels._eigen_width) for both eigenvalue routes,
-    the equation families' companion stacks included, and ``cap`` itself
-    for the equation families' scans, which block their own working arrays.
+    to, at most ``cap``: one block of the route's kernel, whose working
+    arrays fit kernels._BLOCK_BYTES.  That is a char-poly block
+    (kernels._char_poly_width) for the sign scan of the matrix families, a
+    Routh or Jury scan block (kernels._scan_width) for that of the equation
+    families, and a (rows, n, n) stack (kernels._eigen_width) for both
+    eigenvalue routes, the equation families' companion stacks included.
     """
     how = resolve_method(family, method)
     if how == "eigen":
@@ -249,7 +250,7 @@ def block_rows(family: ModelFamily, method: str, cap: int) -> int:
     elif family.kind in ("cont-sys", "disc-sys"):
         rows = kernels._char_poly_width(family.n)
     else:
-        rows = cap
+        rows = kernels._scan_width(family.n)
     return min(cap, rows)
 
 
@@ -274,9 +275,9 @@ def batch_indices(
     Returns int64 codes (count k >= 0, or a negative indeterminate code from
     .kernels).  Raises ValueError for a NaN or infinite parameter, which the
     routes would otherwise classify differently or not at all.  The sign
-    scan of the matrix families takes its working arrays from
-    ``workspace``, a kernels.Workspace, when one is given (the Monte Carlo
-    layer passes each shard's); the codes never depend on it.
+    scan of every family takes its working arrays from ``workspace``, a
+    kernels.Workspace, when one is given (the Monte Carlo layer passes each
+    shard's); the codes never depend on it.
     """
     params = np.ascontiguousarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != family.param_count:
@@ -293,12 +294,12 @@ def batch_indices(
         if family.kind == "cont-eq":
             coeffs = block.T[::-1]
             if route == "rh":
-                return kernels.routh_codes(coeffs, tol)
+                return kernels.routh_codes(coeffs, tol, workspace)
             return kernels.companion_region_codes(coeffs, "left-half-plane", tol)
         if family.kind == "disc-eq":
             coeffs = block.T[::-1]
             if route == "rh":
-                return kernels.jury_codes(coeffs, tol)
+                return kernels.jury_codes(coeffs, tol, workspace)
             return kernels.companion_region_codes(coeffs, "disk", tol)
         if family.kind == "cont-sys":
             mats = block.reshape(-1, n, n)

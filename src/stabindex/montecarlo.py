@@ -9,12 +9,14 @@ each block is drawn and classified whole, and a convergence grid point that
 falls inside a block is counted from that block's leading codes.
 
 A shard draws each block into a kernels.Workspace, and the sign scan of
-the matrix families takes its char-poly and Routh working arrays from the
-same workspace.  Workspaces outlive the shards and threads that use them:
-a shard takes a spare one when it starts and hands it back when it ends,
-so no two running shards share one, and warm blocks map no fresh pages.
-Each maps one fixed slab, of which a block makes resident only the pages
-it touches: a 3,000-row job's block touches a fraction of a budget.
+every family takes its working arrays from the same workspace: the
+char-poly and scan arrays of the matrix families, the Routh or Jury
+arrays of the equation families.  Workspaces outlive the shards and
+threads that use them: a shard takes a spare one when it starts and hands
+it back when it ends, so no two running shards share one, and warm blocks
+map no fresh pages.  Each maps one fixed slab, of which a block makes
+resident only the pages it touches: a 3,000-row job's block touches a
+fraction of a budget.
 """
 
 import math

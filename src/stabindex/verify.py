@@ -219,14 +219,17 @@ def check_mean_index(
     samples: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """Mean index n/2 for the three symmetric families, within
-    4 sqrt(n/samples).  Not asserted for disc-sys, whose distribution is
-    not symmetric.  Skipped unless the bound is under _MEAN_POWER_SHARE of
-    n/2 at every order checked; n = 1 needs the most samples (over 1024)."""
+    4 sqrt(var/N): var is the variance of the index in the histogram under
+    test and N its determinate samples.  Not asserted for disc-sys, whose
+    distribution is not symmetric.  Skipped unless the bound is under
+    _MEAN_POWER_SHARE of n/2 whatever the histogram: an index in 0..n has
+    var <= n^2/4, so the bound is at most 2n/sqrt(N), and that is under a
+    quarter of n/2 from 257 samples on."""
     name = "mean index n/2 (symmetric families)"
-    bound = 4.0 * math.sqrt(1 / samples)
-    if bound >= _MEAN_POWER_SHARE * 0.5:
-        floor = math.floor((8.0 / _MEAN_POWER_SHARE) ** 2) + 1
-        detail = f"4-sigma bound {bound:.2f} at n=1 is not under {_MEAN_POWER_SHARE} of n/2"
+    widest = 4.0 / math.sqrt(samples)  # 2n/sqrt(N) as a share of n/2
+    if widest >= _MEAN_POWER_SHARE:
+        floor = math.floor((4.0 / _MEAN_POWER_SHARE) ** 2) + 1
+        detail = f"4-sigma bound up to {widest:.2f} of n/2 is not under {_MEAN_POWER_SHARE}"
         return _too_few(name, samples, detail, floor)
     worst_ratio = 0.0
     detail = ""
@@ -237,11 +240,8 @@ def check_mean_index(
                 family = ModelFamily(kind, n)
                 if not family.symmetric:
                     continue
-                cfg = EstimationConfig(family, samples, seed, tol=tol)
-                freq = frequencies(run_estimation(cfg))
-                mean = float(np.arange(n + 1) @ freq.values)
-                bound = 4.0 * math.sqrt(n / samples)
-                ratio = abs(mean - n / 2) / bound
+                hist = run_estimation(EstimationConfig(family, samples, seed, tol=tol))
+                mean, ratio = _mean_deviation(hist)
                 if ratio > worst_ratio:
                     worst_ratio = ratio
                     detail = f"worst {kind} n={n}: mean {mean:.5f} vs {n/2} (|dev|/bound {ratio:.2f})"
@@ -249,6 +249,20 @@ def check_mean_index(
     except EstimationAbort as abort:
         ok, detail = False, f"aborted: {abort}"
     return CheckResult(name, ok, detail)
+
+
+def _mean_deviation(hist) -> tuple:
+    """The mean index of hist's determinate samples, and its distance from
+    n/2 over the 4-sigma bound 4 sqrt(var/N), var the index's variance in
+    hist and N its determinate samples (inf where var is 0)."""
+    n = hist.family.n
+    k = np.arange(n + 1)
+    p = frequencies(hist).values
+    mean = float(k @ p)
+    var = float((k - mean) ** 2 @ p)
+    bound = 4.0 * math.sqrt(var / (hist.samples - hist.indeterminate))
+    deviation = abs(mean - n / 2)
+    return mean, deviation / bound if bound > 0.0 else math.inf
 
 
 def check_determinism(samples: int = 10_000, seed: int = DEFAULT_SEED) -> CheckResult:

@@ -274,9 +274,9 @@ class TestVerify:
         # 4 sqrt(p(1-p)/N) < p = 1/32 from N = 497
         assert check_orthant_determinant(496).skipped
         assert not check_orthant_determinant(497).skipped
-        # 4 sqrt(1/N) under a quarter of n/2 at n = 1 from N = 1025
-        assert check_mean_index(1024).skipped
-        assert not check_mean_index(1025).skipped
+        # 4 sqrt(var/N) <= 2n/sqrt(N) under a quarter of n/2 from N = 257
+        assert check_mean_index(256).skipped
+        assert not check_mean_index(257).skipped
         # a 1e-3 mismatch rate at one order survives 2994 pairs with p > 0.05
         assert verify.check_oracle("cont-eq", 2994).skipped
         assert verify.check_oracle("cont-eq", 2995).passed
@@ -403,6 +403,33 @@ class TestVerify:
             bad = verify.check_oracle(kind, per_degree=200)
             assert not bad.passed, kind
             assert int(bad.detail.split()[0]) > 0
+
+    def test_shifted_histogram_fails_mean_index(self, monkeypatch):
+        # negative control: 2% of each cont-eq n=4 index's samples moved up
+        # one index shift the mean by 0.02, 1% of n/2, which leaves it 1.8
+        # bounds off at 100k samples (index variance about 0.6); the bound
+        # 4 sqrt(n/N) = 0.025, which assumed a variance of n, passed it
+        from stabindex import verify
+        from stabindex.models import ModelFamily
+        from stabindex.montecarlo import IndexHistogram
+
+        real = verify.run_estimation
+
+        def shifted(cfg):
+            hist = real(cfg)
+            if cfg.family != ModelFamily("cont-eq", 4):
+                return hist
+            moved = hist.counts // 50
+            moved[-1] = 0
+            counts = hist.counts - moved
+            counts[1:] += moved[:-1]
+            return IndexHistogram(cfg.family, counts, hist.indeterminate, cfg.samples, cfg.seed)
+
+        assert verify.check_mean_index(100_000).passed
+        monkeypatch.setattr(verify, "run_estimation", shifted)
+        bad = verify.check_mean_index(100_000)
+        assert not bad.passed, bad
+        assert bad.detail.startswith("worst cont-eq n=4:"), bad
 
 
 def test_python_m_stabindex_runs_the_cli(capsys):

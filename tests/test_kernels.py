@@ -379,7 +379,10 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
     the columns either side of every block edge and what the kernel gives on
     slices that each fit in one block.  The columns at the edges are integer
     draws in {-2..2}, so ZERO_PIVOT, ZERO_LEADING and all-zero rows, each
-    handed to routh_scan, all fall there."""
+    handed to routh_scan, all fall there.  On a workspace, whose slab holds
+    what the blocks before left there, the kernel gives the same codes as on
+    fresh arrays, on these rows and on integer rows at n = 1..8."""
+    ws = kernels.Workspace()
     sizes = []
     block_kernel = kernels._routh_block
 
@@ -411,22 +414,57 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
         assert not set(cuts) & set(edges)
         by_slice = np.concatenate([kernel(c, TOL) for c in np.split(coeffs, cuts, axis=1)])
         np.testing.assert_array_equal(codes, by_slice, err_msg=f"n={n}")
+
+        np.testing.assert_array_equal(kernel(coeffs, TOL, ws), codes, err_msg=f"n={n}")
+        if n <= 8:
+            integer = _draws(kind, n, block + 37, integer=True).T[::-1]
+            np.testing.assert_array_equal(
+                kernel(integer, TOL, ws), kernel(integer, TOL), err_msg=f"integer n={n}"
+            )
     assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT} <= seen
     assert counted.fallbacks, "no edge column reached the routh_scan fallback"
 
 
 @pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
 def test_scan_working_set_is_blocked(kind):
-    """A whole n = 4 chunk allocates less than its input's bytes: no working
-    array of the Routh or Jury scan spans the chunk."""
-    params = _draws(kind, 4, CHUNK, integer=False)
-    tracemalloc.start()
-    try:
-        _batch_codes(kind, 4, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
+    """A drawn block (models.block_rows: the whole CHUNK at n = 4, a
+    quarter of it at n = 40) allocates no more than _BLOCK_BYTES when its
+    Routh or Jury scan runs on fresh arrays, and on a workspace that holds
+    the draw the scan uses no more than one budget of slab above it.  Once
+    the workspace has served the CHUNK-wide block, the next allocates under
+    a tenth of the budget: only arrays below glibc's 128 KiB mmap
+    threshold, which malloc serves from its heap.  (At n = 40 the Jury
+    scan hands 6% of its columns to the scalar routh_scan, which runs some
+    30 times slower traced, so the warm block is traced at n = 4 alone.)"""
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in (4, 40):
+        family = ModelFamily(kind, n)
+        rows = models.block_rows(family, "rh", CHUNK)
+        ws = HighWaterWorkspace()
+        params = ws.take((rows, family.param_count))
+        params[...] = _draws(kind, n, rows, integer=False)
+        draw = ws.high
+
+        def codes():
+            return models.batch_indices(family, params, "rh", TOL, ws)
+
+        fresh = traced_peak(lambda: _batch_codes(kind, n, params))
+        assert fresh <= kernels._BLOCK_BYTES, f"n={n}: fresh peak {fresh} bytes"
+        codes()
+        used = ws.high - draw
+        assert used <= kernels._BLOCK_BYTES, f"n={n}: workspace used {used} bytes"
+        if n == 4:
+            assert rows == CHUNK
+            warm = traced_peak(codes)
+            assert warm < kernels._BLOCK_BYTES // 10, f"n={n}: warm peak {warm} bytes"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])

@@ -453,6 +453,8 @@ class TestWorkingSet:
             ("cont-sys", 20, 6_000, "rh", 2),
             ("cont-eq", 24, 3_000, "eigen", 1),  # companion stacks
             ("disc-eq", 48, 1_000, "auto", 1),  # the eigen fallback takes most rows
+            ("cont-eq", 4, montecarlo.CHUNK, "auto", 1),  # Routh scan blocks
+            ("disc-eq", 4, montecarlo.CHUNK, "auto", 1),  # Jury scan blocks
         ],
     )
     def test_peak_is_a_multiple_of_the_budget(
@@ -503,6 +505,32 @@ class TestWorkingSet:
         rows = min(montecarlo.CHUNK, kernels._char_poly_width(n))
         samples = 2 * rows + rows // 2
         run_estimation(EstimationConfig(ModelFamily(kind, n), samples, 3, method="rh"))
+        assert drawn == made == [rows, rows, samples - 2 * rows]
+
+    @pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_each_block_is_one_scan_call(self, monkeypatch, kind, n):
+        """The equation families' drawn blocks are Routh or Jury scan
+        blocks, so every block of a run but the last is one full scan call.
+        "auto" hands the rows the scan leaves indeterminate (a few percent
+        at disc-eq n = 40) to eigenvalues, which run no scan block."""
+        drawn, made = [], []
+        name = "_routh_block" if kind == "cont-eq" else "_jury_block"
+        real_indices, real_block = montecarlo.batch_indices, getattr(kernels, name)
+
+        def recording_indices(family, params, *rest):
+            drawn.append(params.shape[0])
+            return real_indices(family, params, *rest)
+
+        def recording_block(coeffs, *rest):
+            made.append(coeffs.shape[1])
+            return real_block(coeffs, *rest)
+
+        monkeypatch.setattr(montecarlo, "batch_indices", recording_indices)
+        monkeypatch.setattr(kernels, name, recording_block)
+        rows = min(montecarlo.CHUNK, kernels._scan_width(n))
+        samples = 2 * rows + rows // 2
+        run_estimation(EstimationConfig(ModelFamily(kind, n), samples, 3))
         assert drawn == made == [rows, rows, samples - 2 * rows]
 
     def test_concurrent_runs_take_their_own_workspaces(self):
