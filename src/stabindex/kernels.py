@@ -6,18 +6,18 @@ coefficient.
 
 Root-count results are integer codes: ``k >= 0`` is a definite count, and
 the negative constants below are the indeterminate verdicts.  The batch
-kernels are the implementation: each runs its recurrence over a whole
-chunk of samples at once, column by column, and the per-sample API in
-models calls them on one column.  Their sums run in a fixed order, and
-that floating-point order fixes every histogram bit for bit; the tests
-check it against a scalar Python reference.  The one scalar recurrence
-here is routh_scan, which the batch Routh scan hands its ~0-pivot columns.
+kernels are the implementation: each runs its recurrence over one block of
+samples at once, column by column, and the per-sample API in models calls
+them on one column.  Their sums run in a fixed order, and that
+floating-point order fixes every histogram bit for bit; the tests check it
+against a scalar Python reference.  The one scalar recurrence here is
+routh_scan, which the batch Routh scan hands its ~0-pivot columns.
 The characteristic polynomial takes O(n^3) flops: Householder reduction to
 Hessenberg form, then La Budde's recurrence.
 """
 
 import mmap
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
 from math import comb, prod
 
@@ -196,14 +196,15 @@ def routh_scan(coeffs, tol):
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels over sample chunks (the Monte Carlo hot path).  Each runs its
-# recurrence over a whole chunk at once: every sample sees the same float
-# operations in the same order, whatever the chunk or its layout, so a code
-# depends on its own sample alone.  They never see a drawn row, only what
-# models.batch_indices unpacks from it: ascending coefficients as (n+1, count)
-# columns, (count, n, n) matrix stacks and length-count radii.  Inside, matrix
-# stacks become (n, n, count): one column per sample, so each numpy operation
-# runs along the sample axis.
+# Batch kernels over one block of samples (the Monte Carlo hot path).  Each
+# classifies exactly one block, on a Workspace its caller passes: every
+# sample sees the same float operations in the same order, whatever the
+# block or its layout, so a code depends on its own sample alone.  They
+# never see a drawn row, only what models.batch_indices unpacks from it:
+# ascending coefficients as (n+1, count) columns, (count, n, n) matrix
+# stacks and length-count radii.  Inside, matrix stacks become
+# (n, n, count): one column per sample, so each numpy operation runs along
+# the sample axis.
 #
 # Every working array is C-contiguous, so that axis is the contiguous one.
 # Coefficient columns arrive as transposed views: the scans gather their
@@ -212,43 +213,37 @@ def routh_scan(coeffs, tol):
 # on axis 1 would return Fortran order, on which each lockstep step strides
 # across the samples at several times the cost.
 #
-# Every kernel runs over column blocks of its chunk (_column_blocks), which
-# only split the sample axis, so no sample's float operations change.  Each
-# block's working arrays fit one byte budget, _BLOCK_BYTES, and the Monte
-# Carlo layer draws blocks of the same width (models.block_rows), so each
-# drawn block is one block call.  The equation families' scans
-# (routh_codes, jury_codes) are sized by what the Jury scan holds at once
-# (_scan_width): 3n + 4 float rows while it maps its block, then
-# 3(n//2 + 1) + n + 4 float rows and n + 2 bool rows while it scans the
-# image.  The chunk (montecarlo.CHUNK, 16384 rows) caps that width up to
-# n = 9; at n = 40 it is 4206 columns.  These scans once cut a block into
-# pieces of 120 KiB, under glibc's 128 KiB mmap threshold, only so that
-# malloc would hand the same heap pages to one piece after another; a
-# Workspace does that for arrays of any size, and the fixed cost of a
-# block's numpy calls is now paid once per drawn block.
+# One rule sizes blocks and supplies their memory, and models.batch_indices
+# is its one owner: it cuts any input into blocks of models.block_rows rows,
+# each within one byte budget, _BLOCK_BYTES, and runs each block in one
+# scope of the workspace it was passed, or of one lent from this module's
+# pool (lend).  A kernel writes its codes into the array its caller passes
+# (out) and takes every working array from that workspace; the block's
+# scope gives them back.  The Monte Carlo layer draws blocks of the same
+# width on the same workspace, so each drawn block is one kernel call.
 #
-# The char-poly kernel reduces an (n, n, block) copy of each block in place
-# and forms each Householder update's products in one (n, n-1, block)
-# temporary, so a few large numpy calls do each step.  Its coefficients,
-# the stack and the larger of its two phases' working arrays take at most
-# 2n^2 + 2n + 3 float rows, which _char_poly_width keeps within _BLOCK_BYTES
-# (5637 rows at n = 6, 2250 at n = 10); the Routh or Jury scan of the
-# coefficients reuses the stack's rows once it is dead.  Every kernel takes
-# its arrays from a Workspace: the Monte Carlo layer passes each shard's,
-# which serves every block from the same pages, and a caller without one
-# gets fresh arrays.  A kernel leaves what it takes taken; the scope of its
-# caller's block gives it back.  The width is set by the interpreter lock,
-# not by memory: a block makes over 200 numpy calls at n = 6 whatever its
-# width, and each call releases and retakes the lock, so two thread shards
-# overlap only while the calls are long.  On a 2-core VM two threads ran
-# the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at 5637
-# (4 MiB).  The same budget sizes the eigenvalue routes' (block, n, n)
+# The equation families' scans (routh_codes, jury_codes) are sized by what
+# the Jury scan holds at once (_scan_width): 3n + 4 float rows while it maps
+# its block, then 3(n//2 + 1) + n + 4 float rows and n + 2 bool rows while
+# it scans the image.  The chunk (montecarlo.CHUNK, 16384 rows) caps that
+# width up to n = 9; at n = 40 it is 4206 columns.  The char-poly kernel
+# reduces an (n, n, block) copy of each block in place and forms each
+# Householder update's products in one (n, n-1, block) temporary, so a few
+# large numpy calls do each step.  Its coefficients, the stack and the
+# larger of its two phases' working arrays take at most 2n^2 + 2n + 3 float
+# rows, which _char_poly_width keeps within _BLOCK_BYTES (5637 rows at
+# n = 6, 2250 at n = 10); the Routh or Jury scan of the coefficients reuses
+# the stack's rows once it is dead.  That width is set by the interpreter
+# lock, not by memory: a block makes over 200 numpy calls at n = 6 whatever
+# its width, and each call releases and retakes the lock, so two thread
+# shards overlap only while the calls are long.  On a 2-core VM two threads
+# ran the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at
+# 5637 (4 MiB).  The same budget sizes the eigenvalue routes' (block, n, n)
 # stacks (_eigen_width), those of "auto"'s eigenvalue fallback included, so
 # no route's block outgrows it.
 
 _BLOCK_BYTES = 4 << 20
-_MMAP_BYTES = 128 << 10  # glibc's default mmap threshold
-_ALIGN = 16  # bytes: workspace arrays keep malloc's alignment
+_ALIGN = 64  # bytes: a cache line; at malloc's 16 the eq-scan benchmark ran 8% slower
 
 
 class Workspace:
@@ -259,16 +254,20 @@ class Workspace:
     any route, each within _BLOCK_BYTES; a scope (``with
     ws.scope():``) gives back, when it exits, everything taken inside it,
     so a block's arrays, and each phase's within it, stack up and fall away
-    in order.  The slab is mapped directly, not advised to use huge pages
+    in order.  Small arrays come from the slab too, so a block never
+    touches malloc's heap, and its speed does not depend on what the heap
+    went through before (whether glibc has raised its trim threshold).  The
+    slab is a private anonymous mapping: a forked child writes to copies of
+    its pages, never to its parent's.  It is not advised to use huge pages
     as numpy's large arrays are, so only the pages a block touches become
-    resident.  An array under glibc's 128 KiB mmap threshold, or one the
-    slab has no room left for, is a fresh np.empty instead: malloc serves a
-    small one from its heap and hands the same pages to the next block.
-    Arrays taken inside a scope must not be used after it exits.
+    resident.  An array the slab has no room left for is a fresh np.empty
+    instead.  Arrays taken inside a scope must not be used after it exits.
+    Callers get one from lend.
     """
 
     def __init__(self):
-        self._slab = np.frombuffer(mmap.mmap(-1, 2 * _BLOCK_BYTES), dtype=np.uint8)
+        slab = mmap.mmap(-1, 2 * _BLOCK_BYTES, access=mmap.ACCESS_COPY)
+        self._slab = np.frombuffer(slab, dtype=np.uint8)
         self._top = 0
         self._marks = []
 
@@ -276,7 +275,7 @@ class Workspace:
         nbytes = np.dtype(dtype).itemsize * prod(shape)
         start = self._top
         top = start + -(-nbytes // _ALIGN) * _ALIGN
-        if nbytes < _MMAP_BYTES or top > self._slab.size:
+        if top > self._slab.size:
             return np.empty(shape, dtype)
         self._top = top
         return np.ndarray(shape, dtype, self._slab, start)
@@ -292,32 +291,33 @@ class Workspace:
         self._top = self._marks.pop()
 
 
-class _Fresh:
-    """The workspace of callers that bring none: every take is a new
-    array, as np.empty gives it, and nothing is kept."""
-
-    _scope = nullcontext()
-
-    @staticmethod
-    def take(shape, dtype=np.float64):
-        return np.empty(shape, dtype)
-
-    def scope(self):
-        return self._scope
+_idle = []  # workspaces no caller holds, the latest last
 
 
-_FRESH = _Fresh()
-
-
-def _column_blocks(count, width):
-    """Consecutive slices of range(count), width columns each; the last may
-    be narrower."""
-    return [slice(start, min(start + width, count)) for start in range(0, count, width)]
+@contextmanager
+def lend(ws=None):
+    """A scope of ``ws``, or, when it is None, of a workspace that no other
+    caller holds: the one handed back last, or a new one, handed back when
+    the scope exits.  Workspaces outlive their callers and threads, so warm
+    blocks map no fresh pages; no two callers that hold one at once share
+    it."""
+    lent = ws is None
+    if lent:
+        try:
+            ws = _idle.pop()
+        except IndexError:
+            ws = Workspace()
+    try:
+        with ws.scope():
+            yield ws
+    finally:
+        if lent:
+            _idle.append(ws)
 
 
 def _scan_width(n):
     """Columns per block of the degree-n Routh and Jury scans: what the
-    Jury scan holds at once (_jury_block) fits _BLOCK_BYTES.  Per column
+    Jury scan holds at once (jury_codes) fits _BLOCK_BYTES.  Per column
     that is its codes and Moebius image, n + 2 float rows, and a bool row,
     then the larger of the Moebius map's two working arrays, 2n + 2 float
     rows, and the Routh scan of the image, 3(n//2 + 1) + 2 float rows and
@@ -343,12 +343,11 @@ def _eigen_width(n):
     return max(1, _BLOCK_BYTES // (8 * n * n))
 
 
-def _abs_max(cols, ws=_FRESH):
+def _abs_max(cols, ws):
     """Per-column max |x|, skipping NaN as routh_scan's _scale does, in an
-    array taken from ws (fresh arrays by default).  |x| is formed in a
-    C-order temporary, given back on return: on a transposed view the
-    reduction would otherwise run across the contiguous axis, many times
-    slower."""
+    array taken from ws.  |x| is formed in a C-order temporary, given back
+    on return: on a transposed view the reduction would otherwise run
+    across the contiguous axis, many times slower."""
     out = ws.take(cols.shape[1:])
     with ws.scope():
         absolute = np.abs(cols, out=ws.take(cols.shape))
@@ -356,20 +355,9 @@ def _abs_max(cols, ws=_FRESH):
     return out
 
 
-def routh_codes(coeffs, tol, ws=None):
-    """routh_scan of each column of an (n+1, count) ascending-coefficient
-    array, one scan block at a time, with working arrays from ws (fresh
-    arrays when None)."""
-    ws = _FRESH if ws is None else ws
-    codes = np.empty(coeffs.shape[1], dtype=np.int64)
-    for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
-        with ws.scope():
-            _routh_block(coeffs[:, cols], tol, codes[cols], ws)
-    return codes
-
-
-def _routh_block(coeffs, tol, codes, ws=_FRESH):
-    """Write routh_codes of an (n+1, count) block into codes.
+def routh_codes(coeffs, tol, ws, out):
+    """Write routh_scan of each column of one (n+1, count) block of
+    ascending coefficients into the int64 array out, and return it.
 
     Every column steps through the Routh array to its last row in lockstep,
     keeping its pivot signs and the least |pivot| it meets, leading
@@ -379,9 +367,9 @@ def _routh_block(coeffs, tol, codes, ws=_FRESH):
     pivot, mean nothing (inf or NaN where it is 0): its code is
     routh_scan's own.  Every other column saw routh_scan's float operations
     in routh_scan's order.  Three buffers rotate through the roles prev,
-    cur and nxt.  Every working array is taken from ws (fresh arrays by
-    default): 3(n//2 + 1) + 2 float rows and 2n + 1 bool rows at most,
-    the Routh rows given back before the sign changes are counted.
+    cur and nxt.  Every working array is taken from ws: 3(n//2 + 1) + 2
+    float rows and 2n + 1 bool rows at most, the Routh rows given back
+    before the sign changes are counted.
     """
     n, count = coeffs.shape[0] - 1, coeffs.shape[1]
     thr = _abs_max(coeffs, ws)
@@ -410,44 +398,33 @@ def _routh_block(coeffs, tol, codes, ws=_FRESH):
                 np.divide(nxt[:-1], cur[0], out=nxt[:-1])
                 nxt[-1] = 0.0
                 prev, cur, nxt = cur, nxt, prev
-        del prev, cur, nxt  # fresh Routh rows are freed here
+        del prev, cur, nxt  # Routh rows the slab could not hold are freed here
     flips = np.not_equal(signs[1:], signs[:-1], out=ws.take((n, count), bool))
-    np.add.reduce(flips, axis=0, dtype=np.int64, out=codes)
-    np.subtract(n, codes, out=codes)
+    np.add.reduce(flips, axis=0, dtype=np.int64, out=out)
+    np.subtract(n, out, out=out)
     for col in np.flatnonzero(~(least > thr)):
-        codes[col] = routh_scan(coeffs[:, col], tol)
+        out[col] = routh_scan(coeffs[:, col], tol)
+    return out
 
 
-def jury_codes(coeffs, tol, ws=None):
-    """Number of roots with |x| < 1 of each column of an (n+1, count)
-    ascending-coefficient array: the conformal map to a half-plane, then
-    the Routh scan.
+def jury_codes(coeffs, tol, ws, out):
+    """Write the number of roots with |x| < 1 of each column of one
+    (n+1, count) block of ascending coefficients into out, and return it:
+    the conformal map to a half-plane, then the Routh scan.
 
-    Every column's Moebius image goes through _routh_block, so an image
-    that meets a ~0 or NaN pivot takes routh_scan's code, as in
-    routh_codes.  Its ZERO_LEADING (a degree drop: the input vanishes at
-    x = 1, on the disk boundary) becomes BOUNDARY_ROOT.  Columns whose own
-    leading coefficient is ~0 are then overwritten with ZERO_LEADING,
-    whatever their image gave.  It runs one scan block at a time, with
-    working arrays from ws (fresh arrays when None).
+    Every column's Moebius image goes through routh_codes, so an image that
+    meets a ~0 or NaN pivot takes routh_scan's code.  Its ZERO_LEADING (a
+    degree drop: the input vanishes at x = 1, on the disk boundary) becomes
+    BOUNDARY_ROOT.  Columns whose own leading coefficient is ~0 are then
+    overwritten with ZERO_LEADING, whatever their image gave.  It takes the
+    flags of a ~0 leading coefficient, then the Moebius image
+    (_mobius_block), then the Routh scan's arrays, as _scan_width counts.
     """
-    ws = _FRESH if ws is None else ws
-    codes = np.empty(coeffs.shape[1], dtype=np.int64)
-    for cols in _column_blocks(coeffs.shape[1], _scan_width(coeffs.shape[0] - 1)):
-        with ws.scope():
-            _jury_block(coeffs[:, cols], tol, codes[cols], ws)
-    return codes
-
-
-def _jury_block(coeffs, tol, codes, ws=_FRESH):
-    """Write jury_codes of an (n+1, count) block into codes, with working
-    arrays from ws (fresh arrays by default): the flags of a ~0 leading
-    coefficient, then the Moebius image (_mobius_block), then the Routh
-    scan of the image (_routh_block), as _scan_width counts."""
     small_lead = _small_leads(coeffs, tol, ws)
-    _routh_block(_mobius_block(coeffs, ws), tol, codes, ws)
-    codes[codes == ZERO_LEADING] = BOUNDARY_ROOT
-    codes[small_lead] = ZERO_LEADING
+    routh_codes(_mobius_block(coeffs, ws), tol, ws, out)
+    out[out == ZERO_LEADING] = BOUNDARY_ROOT
+    out[small_lead] = ZERO_LEADING
+    return out
 
 
 def _small_leads(coeffs, tol, ws):
@@ -463,13 +440,13 @@ def _small_leads(coeffs, tol, ws):
     return small
 
 
-def _mobius_block(coeffs, ws=_FRESH):
+def _mobius_block(coeffs, ws):
     """Each column of an (n+1, count) block c mapped through
     x = (z+1)/(z-1): sum_j c[j] (z+1)^j (z-1)^(n-j), accumulated term by
     term, j ascending, against mobius_weights(n).  The image is taken from
-    ws (fresh arrays by default), and above it a C-order copy of the block
-    and the term array, given back on return: a transposed view's rows
-    would be read strided n + 1 times each."""
+    ws, and above it a C-order copy of the block and the term array, given
+    back on return: a transposed view's rows would be read strided n + 1
+    times each."""
     weights = mobius_weights(coeffs.shape[0] - 1)
     star = ws.take(coeffs.shape)
     star.fill(0.0)
@@ -483,7 +460,7 @@ def _mobius_block(coeffs, ws=_FRESH):
     return star
 
 
-def _char_poly_block(mats, ws=_FRESH):
+def _char_poly_block(mats, ws):
     """Monic characteristic polynomial det(xI - a) of each matrix a in a
     (count, n, n) stack, as (n+1, count) ascending coefficients.
 
@@ -499,10 +476,9 @@ def _char_poly_block(mats, ws=_FRESH):
     and .sum would reorder or fuse those additions.  The stack is copied
     to (n, n, count), so the reduction runs in place without touching mats.
 
-    The coefficients are taken from ws (fresh arrays by default), and
-    the stack and both phases' working arrays above them, given back on
-    return: n + 1 rows, then n^2 of stack and at most n^2 + n + 2 of the
-    larger phase, _hessenberg_block.
+    The coefficients are taken from ws, and the stack and both phases'
+    working arrays above them, given back on return: n + 1 rows, then n^2
+    of stack and at most n^2 + n + 2 of the larger phase, _hessenberg_block.
     """
     count, n, _ = mats.shape
     coeffs = ws.take((n + 1, count))
@@ -610,35 +586,17 @@ def _la_budde_block(h, out, ws):
             np.subtract(new[: i - m + 1], t, out=new[: i - m + 1])
 
 
-def batch_matrix_halfplane(mats, tol, ws=None):
-    """Eigenvalues with Re < 0 per matrix, via the characteristic
-    polynomial and the Routh scan, one char-poly block at a time, with
-    working arrays from ws (fresh arrays when None)."""
-    ws = _FRESH if ws is None else ws
-    count, n, _ = mats.shape
-    codes = np.empty(count, dtype=np.int64)
-    for cols in _column_blocks(count, _char_poly_width(n)):
-        with ws.scope():
-            _routh_block(_char_poly_block(mats[cols], ws), tol, codes[cols], ws)
-    return codes
+def batch_matrix_halfplane(mats, tol, ws, out):
+    """Write the number of eigenvalues with Re < 0 of each matrix of one
+    (count, n, n) block into out, and return it: the characteristic
+    polynomial, then the Routh scan."""
+    return routh_codes(_char_poly_block(mats, ws), tol, ws, out)
 
 
-def batch_pencil_disk(mats, radii, tol, ws=None):
-    """eig_disk_codes(mats, radii, tol) via the characteristic polynomial
-    and the Jury scan (the Moebius map, then the Routh scan), one char-poly
-    block at a time, with working arrays from ws (fresh arrays when None)."""
-    ws = _FRESH if ws is None else ws
-    count, n, _ = mats.shape
-    codes = np.empty(count, dtype=np.int64)
-    for cols in _column_blocks(count, _char_poly_width(n)):
-        with ws.scope():
-            _pencil_block(_char_poly_block(mats[cols], ws), radii[cols], tol, codes[cols], ws)
-    return codes
-
-
-def _pencil_block(coeffs, r, tol, outside, ws):
-    """Write the codes of one block of pencils into outside, from their
-    (n+1, block) characteristic polynomials and radii r.
+def batch_pencil_disk(mats, radii, tol, ws, out):
+    """Write eig_disk_codes(mats, radii, tol) of one block into out, and
+    return it: the characteristic polynomial, then the Jury scan (the
+    Moebius map, then the Routh scan).
 
     Counted through the complement: with r = radii[i], the polynomial
     sum_t c_{n-t} r^{n-t} y^t has its roots at y = r/x, so its unit-disk
@@ -649,19 +607,21 @@ def _pencil_block(coeffs, r, tol, outside, ws):
     c_0 is tested against the unscaled coefficients instead: a ~0 det A
     makes the pencil 0 x - A singular, with no count (ZERO_LEADING).
     """
+    coeffs = _char_poly_block(mats, ws)
     n = coeffs.shape[0] - 1
     scaled = ws.take(coeffs.shape)
-    f = ws.take(r.shape)
+    f = ws.take(radii.shape)
     f.fill(1.0)
     for t in range(n, -1, -1):
         np.multiply(coeffs[n - t], f, out=scaled[t])
-        np.multiply(f, r, out=f)
-    _jury_block(scaled, tol, outside, ws)
-    np.subtract(n, outside, out=outside, where=outside >= 0)
-    if not r.all():
-        zero = np.flatnonzero(r == 0.0)
+        np.multiply(f, radii, out=f)
+    jury_codes(scaled, tol, ws, out)  # eigenvalues outside radius r
+    np.subtract(n, out, out=out, where=out >= 0)
+    if not radii.all():
+        zero = np.flatnonzero(radii == 0.0)
         c = coeffs.take(zero, axis=1)
-        outside[zero[np.abs(c[0]) <= tol * _abs_max(c, ws)]] = ZERO_LEADING
+        out[zero[np.abs(c[0]) <= tol * _abs_max(c, ws)]] = ZERO_LEADING
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -689,23 +649,25 @@ def eig_disk_codes(mats, radii, tol):
     return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
 
 
-def companion_region_codes(coeffs, region, tol):
-    """Region counts of finite (n+1, count) ascending-coefficient columns via
-    companion eigenvalues; region is "left-half-plane" or "disk" (radius 1)."""
+def companion_region_codes(coeffs, region, tol, ws, out):
+    """Write the region counts of one block of finite (n+1, count)
+    ascending-coefficient columns into out, and return it, via companion
+    eigenvalues; region is "left-half-plane" or "disk" (radius 1)."""
     n = coeffs.shape[0] - 1
-    scale = _abs_max(coeffs)
-    codes = np.full(coeffs.shape[1], np.int64(ZERO_LEADING))
+    out.fill(ZERO_LEADING)
+    scale = _abs_max(coeffs, ws)
     ok = (scale > 0.0) & (np.abs(coeffs[n]) > tol * scale)
     good = coeffs.compress(ok, axis=1)
-    comp = np.zeros((good.shape[1], n, n))
+    comp = ws.take((good.shape[1], n, n))
+    comp.fill(0.0)
     idx = np.arange(n - 1)
     comp[:, idx, idx + 1] = 1.0
     comp[:, n - 1, :] = (-good[:n] / good[n]).T
     if region == "left-half-plane":
-        codes[ok] = eig_halfplane_codes(comp, tol)
+        out[ok] = eig_halfplane_codes(comp, tol)
     else:
-        codes[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
-    return codes
+        out[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -713,7 +675,8 @@ def mobius_weights(n: int) -> np.ndarray:
     """Weight matrix W with W[j, t] = [z^t] (z+1)^j (z-1)^(n-j).
 
     Each entry is an exact Python-integer sum of binomial products, cast to
-    float64, which is lossless for the supported degrees.
+    float64.  The cast is exact through n = 56; from n = 57 the largest
+    entries pass 2**53 and are rounded.
     """
     w = np.zeros((n + 1, n + 1))
     for j in range(n + 1):

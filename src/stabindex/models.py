@@ -20,6 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from . import kernels
+from .kernels import lend
 
 DEFAULT_TOL = 1e-12
 
@@ -116,9 +117,11 @@ def mobius_star(p) -> np.ndarray:
     negative real part.  The returned array always has length deg(p) + 1;
     the leading entry is zero exactly when p(1) = 0 (degree drop).
     Coefficients are accumulated against exact integer binomial weights,
-    by the batch kernel on one column.
+    by the batch kernel on one column, on a lent workspace.
     """
-    return kernels._mobius_block(_as_coeffs(p)[:, None])[:, 0]
+    c = _as_coeffs(p)
+    with lend() as ws:
+        return kernels._mobius_block(c[:, None], ws)[:, 0].copy()
 
 
 def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
@@ -128,7 +131,10 @@ def jury_count(p, tol: float = DEFAULT_TOL) -> RootCount:
     in the transformed polynomial means p(1) ~ 0, a boundary root.
     """
     validate_tol(tol)
-    return RootCount.from_code(kernels.jury_codes(_as_coeffs(p)[:, None], tol)[0])
+    c = _as_coeffs(p)
+    with lend() as ws:
+        code = kernels.jury_codes(c[:, None], tol, ws, np.empty(1, np.int64))[0]
+    return RootCount.from_code(code)
 
 
 def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -178,11 +184,14 @@ def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det(xI - m), ascending coefficients.
 
     Householder reduction to Hessenberg form, then La Budde's recurrence:
-    O(n^3) flops, run by the batch kernel on a one-matrix stack.  At high
-    n the coefficients lose enough accuracy that the sign scan leaves more
-    rows indeterminate; "auto" hands those rows to eigenvalues.
+    O(n^3) flops, run by the batch kernel on a one-matrix stack on a lent
+    workspace.  At high n the coefficients lose enough accuracy that the
+    sign scan leaves more rows indeterminate; "auto" hands those rows to
+    eigenvalues.
     """
-    return kernels._char_poly_block(_as_square(m)[None])[:, 0]
+    a = _as_square(m)
+    with lend() as ws:
+        return kernels._char_poly_block(a[None], ws)[:, 0].copy()
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,10 @@ def resolve_method(family: ModelFamily, method: str) -> str:
 
 
 def block_rows(family: ModelFamily, method: str, cap: int) -> int:
-    """Rows per drawn block of ``family`` on the route ``method`` resolves
-    to, at most ``cap``: one block of the route's kernel, whose working
-    arrays fit kernels._BLOCK_BYTES.  That is a char-poly block
+    """Rows per block of ``family`` on the route ``method`` resolves to, at
+    most ``cap``: one block of the route's kernel, whose working arrays fit
+    kernels._BLOCK_BYTES.  batch_indices cuts its rows into such blocks,
+    and the Monte Carlo layer draws them.  That is a char-poly block
     (kernels._char_poly_width) for the sign scan of the matrix families, a
     Routh or Jury scan block (kernels._scan_width) for that of the equation
     families, and a (rows, n, n) stack (kernels._eigen_width) for both
@@ -261,23 +271,24 @@ def batch_indices(
     tol: float = DEFAULT_TOL,
     workspace=None,
 ) -> np.ndarray:
-    """Index codes for a (count, param_count) block of drawn parameters.
+    """Index codes for a (count, param_count) array of drawn parameters.
 
     Only this function knows the row layout: cont-sys is A row-major;
     disc-sys is (b, A row-major), counted within radius |b|; the equation
-    families are coefficients highest degree first.  A block is unpacked
-    into what its family's routes take: ascending coefficient columns, a
-    (count, n, n) matrix stack, or that stack and the radii |b|.  Under
-    "auto" every row takes the sign scan, and the rows it leaves
-    indeterminate take the eigenvalue route, in slices of
-    block_rows(family, "eigen", ...) rows; such a row stays indeterminate
-    only when eigenvalues fail as well, and then carries their code.
-    Returns int64 codes (count k >= 0, or a negative indeterminate code from
-    .kernels).  Raises ValueError for a NaN or infinite parameter, which the
-    routes would otherwise classify differently or not at all.  The sign
-    scan of every family takes its working arrays from ``workspace``, a
-    kernels.Workspace, when one is given (the Monte Carlo layer passes each
-    shard's); the codes never depend on it.
+    families are coefficients highest degree first.  It is the one place
+    that cuts rows into kernel blocks: blocks of block_rows(family, route,
+    count) rows, each unpacked into what its family's routes take
+    (ascending coefficient columns, a (count, n, n) matrix stack, or that
+    stack and the radii |b|) and classified in one scope of ``workspace``,
+    a kernels.Workspace (the Monte Carlo layer passes each shard's), or of
+    one that kernels.lend lends when it is None.  Under "auto" every row
+    takes the sign scan, and the rows it leaves indeterminate take the
+    eigenvalue route, cut the same way; such a row stays indeterminate only
+    when eigenvalues fail as well, and then carries their code.  Returns int64
+    codes (count k >= 0, or a negative indeterminate code from .kernels);
+    they never depend on the blocks or the workspace.  Raises ValueError
+    for a NaN or infinite parameter, which the routes would otherwise
+    classify differently or not at all.
     """
     params = np.ascontiguousarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != family.param_count:
@@ -290,36 +301,46 @@ def batch_indices(
     validate_tol(tol)
     n = family.n
 
-    def codes_of(block, route):
+    def codes_of(block, route, out):
         if family.kind == "cont-eq":
             coeffs = block.T[::-1]
             if route == "rh":
-                return kernels.routh_codes(coeffs, tol, workspace)
-            return kernels.companion_region_codes(coeffs, "left-half-plane", tol)
+                return kernels.routh_codes(coeffs, tol, ws, out)
+            return kernels.companion_region_codes(coeffs, "left-half-plane", tol, ws, out)
         if family.kind == "disc-eq":
             coeffs = block.T[::-1]
             if route == "rh":
-                return kernels.jury_codes(coeffs, tol, workspace)
-            return kernels.companion_region_codes(coeffs, "disk", tol)
+                return kernels.jury_codes(coeffs, tol, ws, out)
+            return kernels.companion_region_codes(coeffs, "disk", tol, ws, out)
         if family.kind == "cont-sys":
             mats = block.reshape(-1, n, n)
             if route == "rh":
-                return kernels.batch_matrix_halfplane(mats, tol, workspace)
-            return kernels.eig_halfplane_codes(mats, tol)
+                return kernels.batch_matrix_halfplane(mats, tol, ws, out)
+            out[:] = kernels.eig_halfplane_codes(mats, tol)
+            return out
         # disc-sys
         radii = np.abs(block[:, 0])
         mats = block[:, 1:].reshape(-1, n, n)
         if route == "rh":
-            return kernels.batch_pencil_disk(mats, radii, tol, workspace)
-        return kernels.eig_disk_codes(mats, radii, tol)
+            return kernels.batch_pencil_disk(mats, radii, tol, ws, out)
+        out[:] = kernels.eig_disk_codes(mats, radii, tol)
+        return out
 
-    codes = codes_of(params, resolve_method(family, method))
-    if method == "auto" and codes.min(initial=0) < 0:
-        rows = np.flatnonzero(codes < 0)
-        step = block_rows(family, "eigen", rows.size)
-        for start in range(0, rows.size, step):
-            part = rows[start : start + step]
-            codes[part] = codes_of(params[part], "eigen")
+    def classify(rows, route):
+        """The codes of ``rows`` on ``route``, one block at a time."""
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        step = block_rows(family, route, max(1, rows.shape[0]))
+        for start in range(0, rows.shape[0], step):
+            part = slice(start, start + step)
+            with ws.scope():
+                codes_of(rows[part], route, out[part])
+        return out
+
+    with lend(workspace) as ws:
+        codes = classify(params, resolve_method(family, method))
+        if method == "auto" and codes.min(initial=0) < 0:
+            left = np.flatnonzero(codes < 0)
+            codes[left] = classify(params[left], "eigen")
     return codes
 
 

@@ -8,15 +8,12 @@ rows as its route classifies at once (models.block_rows, at most CHUNK), so
 each block is drawn and classified whole, and a convergence grid point that
 falls inside a block is counted from that block's leading codes.
 
-A shard draws each block into a kernels.Workspace, and the sign scan of
-every family takes its working arrays from the same workspace: the
-char-poly and scan arrays of the matrix families, the Routh or Jury
-arrays of the equation families.  Workspaces outlive the shards and
-threads that use them: a shard takes a spare one when it starts and hands
-it back when it ends, so no two running shards share one, and warm blocks
-map no fresh pages.  Each maps one fixed slab, of which a block makes
-resident only the pages it touches: a 3,000-row job's block touches a
-fraction of a budget.
+A shard draws each block into a workspace that kernels.lend lends it for
+the whole pass, and batch_indices classifies the block on the same
+workspace.  Workspaces outlive the shards and threads that use them, so
+warm blocks map no fresh pages, and no two running shards share one.  Each
+maps one fixed slab, of which a block makes resident only the pages it
+touches: a 3,000-row job's block touches a fraction of a budget.
 """
 
 import math
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ZERO_LEADING, Workspace
+from .kernels import ZERO_LEADING, lend
 from .models import DEFAULT_TOL, ModelFamily, batch_indices, block_rows, resolve_method
 from .models import validate_integer, validate_tol
 
@@ -137,30 +134,19 @@ def shard_stream(seed: int, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
 
 
-_spare_workspaces = []  # workspaces no running shard holds, the latest last
-
-
-def _take_workspace() -> Workspace:
-    """A workspace that no running shard holds: the one handed back last,
-    or a new one.  The taker appends it to _spare_workspaces when done."""
-    try:
-        return _spare_workspaces.pop()
-    except IndexError:
-        return Workspace()
-
-
 def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     """Yield one shard's histogram after its first ``size`` samples for each
     size in the ascending ``sizes``, in one pass over max(sizes) samples.
 
     The pass draws blocks of models.block_rows rows (the last one shorter)
-    into a workspace it holds until it ends, and classifies each block whole
-    on the same workspace.  A block's codes are counted with one shifted
-    bincount, and a size inside the block from the block's leading codes, so
-    grid points never split a block.  Normal variates are drawn row-major
-    whatever the block split, and a row's code depends only on that row, so
-    each histogram is bit-identical to a separate run of that size.  Passes
-    may interleave on one thread: each holds its own workspace.
+    into a workspace that kernels.lend lends it until it ends, and
+    classifies each block whole on the same workspace.  A block's codes are
+    counted with one shifted bincount, and a size inside the block from the
+    block's leading codes, so grid points never split a block.  Normal
+    variates are drawn row-major whatever the block split, and a row's code
+    depends only on that row, so each histogram is bit-identical to a
+    separate run of that size.  Passes may interleave on one thread: each
+    holds its own workspace.
     """
     family = cfg.family
     rows = block_rows(family, cfg.method, CHUNK)
@@ -171,8 +157,7 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     done = 0
     pending = iter(sizes)
     size = next(pending, None)
-    ws = _take_workspace()
-    try:
+    with lend() as ws:
         while size is not None:
             take = min(rows, sizes[-1] - done)
             with ws.scope():
@@ -192,15 +177,13 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
             del params, codes  # a draw block the slab could not hold is freed here
             total += tally
             done += take
-    finally:
-        _spare_workspaces.append(ws)
 
 
 def run_shard(cfg: EstimationConfig, shard: int) -> IndexHistogram:
     """Histogram of one shard's substream (used by run_estimation and by
     tests that reassemble sharded runs by hand).  It draws and classifies
-    blocks on a workspace that it holds while it runs, as
-    _prefix_histograms describes."""
+    blocks on a workspace lent to it while it runs, as _prefix_histograms
+    describes."""
     base, rem = divmod(cfg.samples, cfg.shards)
     return next(_prefix_histograms(cfg, shard, [base + (1 if shard < rem else 0)]))
 

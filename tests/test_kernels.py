@@ -5,7 +5,10 @@ reproduce the scalar Python ones row by row, bit for bit: every code, and
 every characteristic-polynomial coefficient, equals what the scalar
 reference gives for that row alone.  The reference is routh_scan from the
 package, whose code the batch Routh scan itself hands its ~0-pivot columns,
-and char_poly, mobius_apply and jury_scan from tests/reference.py.
+and char_poly, mobius_apply and jury_scan from tests/reference.py.  A
+kernel classifies one block on a workspace; models.batch_indices cuts rows
+into blocks, so the tests that cut rows, or bound a block's memory, go
+through it.
 """
 
 import itertools
@@ -46,6 +49,20 @@ def _pencil(row, coeffs):
     return outside if outside < 0 else n - outside
 
 
+def _lent(kernel, *args):
+    """kernel(*args, ws) on a workspace from kernels.lend, with what it
+    returns copied out before the workspace is handed back."""
+    with kernels.lend() as ws:
+        return kernel(*args, ws).copy()
+
+
+def _codes(kernel, count, *args):
+    """The codes kernel(*args, ws, out) writes for a block of count
+    samples, on a workspace from kernels.lend."""
+    with kernels.lend() as ws:
+        return kernel(*args, ws, np.empty(count, np.int64))
+
+
 def _matrices(kind, n, params):
     return (params if kind == "cont-sys" else params[:, 1:]).reshape(-1, n, n)
 
@@ -60,7 +77,7 @@ def _scalar_codes(kind, n, params):
         polys = [char_poly(m) for m in _matrices(kind, n, params)]
         # the batch char_poly must match the scalar one bit for bit
         np.testing.assert_array_equal(
-            kernels._char_poly_block(_matrices(kind, n, params)).T.view(np.int64),
+            _lent(kernels._char_poly_block, _matrices(kind, n, params)).T.view(np.int64),
             np.array(polys).reshape(-1, n + 1).view(np.int64),
         )
         if kind == "cont-sys":
@@ -70,14 +87,9 @@ def _scalar_codes(kind, n, params):
     return np.array(codes, dtype=np.int64)
 
 
-def _batch_codes(kind, n, params):
-    if kind == "cont-eq":
-        return kernels.routh_codes(params.T[::-1], TOL)
-    if kind == "disc-eq":
-        return kernels.jury_codes(params.T[::-1], TOL)
-    if kind == "cont-sys":
-        return kernels.batch_matrix_halfplane(_matrices(kind, n, params), TOL)
-    return kernels.batch_pencil_disk(_matrices(kind, n, params), np.abs(params[:, 0]), TOL)
+def _batch_codes(kind, n, params, ws=None):
+    """The sign-scan codes of drawn rows, in kernel blocks."""
+    return models.batch_indices(ModelFamily(kind, n), params, "rh", TOL, ws)
 
 
 def _draws(kind, n, rows, integer):
@@ -158,14 +170,18 @@ def _layout_cases(kind, n, params):
     """(name, kernel, input) for the sign-scan kernel of this family, on the
     coefficient columns or matrix stack batch_indices unpacks from the rows."""
     if kind == "cont-eq":
-        return [("routh_codes", lambda a: kernels.routh_codes(a, TOL), params.T[::-1])]
+        return [("routh_codes", lambda a: _codes(kernels.routh_codes, len(params), a, TOL),
+                 params.T[::-1])]
     if kind == "disc-eq":
-        return [("jury_codes", lambda a: kernels.jury_codes(a, TOL), params.T[::-1])]
+        return [("jury_codes", lambda a: _codes(kernels.jury_codes, len(params), a, TOL),
+                 params.T[::-1])]
     mats = _matrices(kind, n, params)
     if kind == "cont-sys":
-        return [("batch_matrix_halfplane", lambda a: kernels.batch_matrix_halfplane(a, TOL), mats)]
+        return [("batch_matrix_halfplane",
+                 lambda a: _codes(kernels.batch_matrix_halfplane, len(mats), a, TOL), mats)]
     radii = np.abs(params[:, 0])
-    return [("batch_pencil_disk", lambda a: kernels.batch_pencil_disk(a, radii, TOL), mats)]
+    return [("batch_pencil_disk",
+             lambda a: _codes(kernels.batch_pencil_disk, len(mats), a, radii, TOL), mats)]
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -186,10 +202,10 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
                     )
             if kind in ("cont-sys", "disc-sys"):
                 mats = _matrices(kind, n, params)
-                polys = kernels._char_poly_block(mats).view(np.int64)
+                polys = _lent(kernels._char_poly_block, mats).view(np.int64)
                 for layout, arr in _layouts(mats).items():
                     np.testing.assert_array_equal(
-                        kernels._char_poly_block(arr).view(np.int64), polys,
+                        _lent(kernels._char_poly_block, arr).view(np.int64), polys,
                         err_msg=f"_char_poly_block {layout} n={n}",
                     )
     assert {ZERO_PIVOT, BOUNDARY_ROOT} <= seen
@@ -198,15 +214,17 @@ def test_codes_do_not_depend_on_input_layout(kind, counted):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_char_poly_blocks_match_slices(n, monkeypatch):
-    """A stack of two char-poly blocks plus a remainder gives, bit for bit,
-    what the kernels give on slices that each fit in one block, and the
-    scalar char_poly on the rows either side of every block edge."""
+    """batch_indices cuts a stack into two char-poly blocks plus a
+    remainder, which give, bit for bit, what the kernel gives on slices that
+    each fit in one block, and the scalar char_poly on the rows either side
+    of every block edge; the codes equal those of the slices, and a new
+    workspace gives the same codes as a reused one."""
     made = []
     block_kernel = kernels._char_poly_block
 
-    def recording_block(mats, *workspace):
-        coeffs = block_kernel(mats, *workspace)
-        made.append(coeffs)
+    def recording_block(mats, ws):
+        coeffs = block_kernel(mats, ws)
+        made.append(coeffs.copy())
         return coeffs
 
     monkeypatch.setattr(kernels, "_char_poly_block", recording_block)
@@ -217,13 +235,13 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
     edges = np.array([block, 2 * block])
     cuts = np.arange(0, rows, 1 + block // 3)[1:]
     assert not set(cuts) & set(edges)
-    sliced = [block_kernel(m) for m in np.split(mats, cuts)]
+    sliced = [_lent(block_kernel, m) for m in np.split(mats, cuts)]
 
-    def halfplane(p):
-        return kernels.batch_matrix_halfplane(_matrices("disc-sys", n, p), TOL)
+    def halfplane(p, ws=None):
+        return _batch_codes("cont-sys", n, p[:, 1:], ws)
 
-    def pencil(p):
-        return kernels.batch_pencil_disk(_matrices("disc-sys", n, p), np.abs(p[:, 0]), TOL)
+    def pencil(p, ws=None):
+        return _batch_codes("disc-sys", n, p, ws)
 
     for codes in (halfplane, pencil):
         made.clear()
@@ -239,6 +257,9 @@ def test_char_poly_blocks_match_slices(n, monkeypatch):
             )
         by_slice = np.concatenate([codes(p) for p in np.split(params, cuts)])
         np.testing.assert_array_equal(whole, by_slice, err_msg=codes.__name__)
+        np.testing.assert_array_equal(
+            codes(params, kernels.Workspace()), whole, err_msg=codes.__name__
+        )
 
 
 def _structured_stacks(n, rows, rng):
@@ -318,13 +339,24 @@ def test_zero_radius_pencils_need_a_regular_matrix():
     assert seen == {False, True}
 
 
+def _traced_peak(run):
+    """The most bytes tracemalloc saw allocated at once while run() ran:
+    numpy's own buffers, not a workspace's slab, which is mapped outside
+    its view."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_char_poly_width_bounds_the_block_peak():
-    """One n = 6 block of _char_poly_width(6) rows allocates no more than
-    _BLOCK_BYTES, the budget the width is derived from, and a workspace
-    that serves the block and its Routh or Jury scan uses no more of its
-    slab.  Once the workspace has served a block, the next allocates under
-    a tenth of the budget: only arrays below glibc's 128 KiB mmap
-    threshold, which malloc serves from its heap."""
+    """One n = 6 block of _char_poly_width(6) rows, with its Routh or Jury
+    scan, uses no more of a workspace's slab than _BLOCK_BYTES, the budget
+    the width is derived from.  Besides the slab it allocates under a tenth
+    of the budget, on a new workspace and on a warm one: only numpy's own
+    temporaries and the codes."""
     n = 6
     for kind in ("cont-sys", "disc-sys"):
         params = _draws(kind, n, kernels._char_poly_width(n), integer=False)
@@ -332,21 +364,15 @@ def test_char_poly_width_bounds_the_block_peak():
         ws = HighWaterWorkspace()
 
         def codes():
-            if kind == "cont-sys":
-                return kernels.batch_matrix_halfplane(mats, TOL, ws)
-            return kernels.batch_pencil_disk(mats, radii, TOL, ws)
+            out = np.empty(len(mats), np.int64)
+            with ws.scope():
+                if kind == "cont-sys":
+                    return kernels.batch_matrix_halfplane(mats, TOL, ws, out)
+                return kernels.batch_pencil_disk(mats, radii, TOL, ws, out)
 
-        peaks = []
-        for run in (lambda: kernels._char_poly_block(mats), codes, codes):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= kernels._BLOCK_BYTES, f"{kind}: fresh peak {peaks[0]} bytes"
+        peaks = [_traced_peak(codes) for _ in range(2)]
         assert ws.high <= kernels._BLOCK_BYTES, f"{kind}: workspace used {ws.high} bytes"
-        assert peaks[2] < kernels._BLOCK_BYTES // 10, f"{kind}: warm peak {peaks[2]} bytes"
+        assert max(peaks) < kernels._BLOCK_BYTES // 10, f"{kind}: peaks {peaks} bytes"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
@@ -375,23 +401,23 @@ EDGE_COLUMNS = 32
 
 @pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
 def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
-    """Two scan blocks plus a remainder give, bit for bit, the scalar scan on
-    the columns either side of every block edge and what the kernel gives on
-    slices that each fit in one block.  The columns at the edges are integer
-    draws in {-2..2}, so ZERO_PIVOT, ZERO_LEADING and all-zero rows, each
-    handed to routh_scan, all fall there.  On a workspace, whose slab holds
-    what the blocks before left there, the kernel gives the same codes as on
-    fresh arrays, on these rows and on integer rows at n = 1..8."""
+    """batch_indices cuts its rows into two scan blocks plus a remainder,
+    which give, bit for bit, the scalar scan on the columns either side of
+    every block edge and what it gives on slices that each fit in one
+    block.  The columns at the edges are integer draws in {-2..2}, so
+    ZERO_PIVOT, ZERO_LEADING and all-zero rows, each handed to routh_scan,
+    all fall there.  A workspace whose slab holds what the blocks before
+    left there gives the same codes as a new one, on these rows and on
+    integer rows at n = 1..8."""
     ws = kernels.Workspace()
     sizes = []
-    block_kernel = kernels._routh_block
+    scan_kernel = kernels.routh_codes  # the Jury scan runs it on the image
 
-    def recording_block(coeffs, tol, codes, *workspace):
+    def recording_scan(coeffs, *rest):
         sizes.append(coeffs.shape[1])
-        block_kernel(coeffs, tol, codes, *workspace)
+        return scan_kernel(coeffs, *rest)
 
-    monkeypatch.setattr(kernels, "_routh_block", recording_block)
-    kernel = kernels.routh_codes if kind == "cont-eq" else kernels.jury_codes
+    monkeypatch.setattr(kernels, "routh_codes", recording_scan)
     scalar = kernels.routh_scan if kind == "cont-eq" else jury_scan
     seen = set()
     for n in range(1, 11):
@@ -404,7 +430,7 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
         coeffs = params.T[::-1]
 
         sizes.clear()
-        codes = counted(kernel, coeffs, TOL)
+        codes = counted(_batch_codes, kind, n, params, ws)
         assert sizes == [block, block, 37], f"n={n}"
         expected = [scalar(np.ascontiguousarray(coeffs[:, col]), TOL) for col in near]
         np.testing.assert_array_equal(codes[near], expected, err_msg=f"n={n}")
@@ -412,14 +438,17 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
 
         cuts = np.arange(0, rows, 1 + block // 3)[1:]
         assert not set(cuts) & set(edges)
-        by_slice = np.concatenate([kernel(c, TOL) for c in np.split(coeffs, cuts, axis=1)])
+        by_slice = np.concatenate([_batch_codes(kind, n, p) for p in np.split(params, cuts)])
         np.testing.assert_array_equal(codes, by_slice, err_msg=f"n={n}")
 
-        np.testing.assert_array_equal(kernel(coeffs, TOL, ws), codes, err_msg=f"n={n}")
+        new = _batch_codes(kind, n, params, kernels.Workspace())
+        np.testing.assert_array_equal(new, codes, err_msg=f"n={n}")
         if n <= 8:
-            integer = _draws(kind, n, block + 37, integer=True).T[::-1]
+            integer = _draws(kind, n, block + 37, integer=True)
             np.testing.assert_array_equal(
-                kernel(integer, TOL, ws), kernel(integer, TOL), err_msg=f"integer n={n}"
+                _batch_codes(kind, n, integer, ws),
+                _batch_codes(kind, n, integer, kernels.Workspace()),
+                err_msg=f"integer n={n}",
             )
     assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT} <= seen
     assert counted.fallbacks, "no edge column reached the routh_scan fallback"
@@ -428,23 +457,14 @@ def test_scan_blocks_match_scalar_and_slices(kind, monkeypatch, counted):
 @pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
 def test_scan_working_set_is_blocked(kind):
     """A drawn block (models.block_rows: the whole CHUNK at n = 4, a
-    quarter of it at n = 40) allocates no more than _BLOCK_BYTES when its
-    Routh or Jury scan runs on fresh arrays, and on a workspace that holds
-    the draw the scan uses no more than one budget of slab above it.  Once
-    the workspace has served the CHUNK-wide block, the next allocates under
-    a tenth of the budget: only arrays below glibc's 128 KiB mmap
-    threshold, which malloc serves from its heap.  (At n = 40 the Jury
-    scan hands 6% of its columns to the scalar routh_scan, which runs some
-    30 times slower traced, so the warm block is traced at n = 4 alone.)"""
-
-    def traced_peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    quarter of it at n = 40) uses no more than _BLOCK_BYTES of slab for its
+    Routh or Jury scan, above the draw that the workspace holds.  Besides
+    the slab it allocates under a tenth of the budget: only numpy's own
+    temporaries and the codes.  That holds on the new workspace, and at
+    n = 4 on the warm one too.
+    (At n = 40 the Jury scan hands 6% of its columns to the scalar
+    routh_scan, which runs some 30 times slower traced, so the warm block
+    is traced at n = 4 alone.)"""
     for n in (4, 40):
         family = ModelFamily(kind, n)
         rows = models.block_rows(family, "rh", CHUNK)
@@ -456,36 +476,33 @@ def test_scan_working_set_is_blocked(kind):
         def codes():
             return models.batch_indices(family, params, "rh", TOL, ws)
 
-        fresh = traced_peak(lambda: _batch_codes(kind, n, params))
-        assert fresh <= kernels._BLOCK_BYTES, f"n={n}: fresh peak {fresh} bytes"
-        codes()
+        new = _traced_peak(codes)
         used = ws.high - draw
         assert used <= kernels._BLOCK_BYTES, f"n={n}: workspace used {used} bytes"
+        assert new < kernels._BLOCK_BYTES // 10, f"n={n}: peak {new} bytes off the slab"
         if n == 4:
             assert rows == CHUNK
-            warm = traced_peak(codes)
+            warm = _traced_peak(codes)
             assert warm < kernels._BLOCK_BYTES // 10, f"n={n}: warm peak {warm} bytes"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
 def test_char_poly_working_set_is_blocked(kind):
-    """A whole n = 6 chunk allocates less than its input's bytes: the
-    char-poly kernel's (n, n, count) arrays never span the chunk."""
+    """A whole n = 6 chunk takes less than its input's bytes, slab and
+    numpy's own buffers together: batch_indices never lets the char-poly
+    kernel's (n, n, count) arrays span the chunk."""
     n = 6
     params = _draws(kind, n, CHUNK, integer=False)
-    tracemalloc.start()
-    try:
-        _batch_codes(kind, n, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < params.nbytes, f"peak {peak} bytes for a {params.nbytes}-byte input"
+    ws = HighWaterWorkspace()
+    peak = _traced_peak(lambda: _batch_codes(kind, n, params, ws))
+    used = peak + ws.high
+    assert used < params.nbytes, f"{used} bytes for a {params.nbytes}-byte input"
 
 
 def test_known_all_zero_rows():
     # (x^2-1)(x^2-4) repairs to 2 roots; (x^2+1)(x^2+4) has boundary roots
     params = np.array([[1.0, 0.0, -5.0, 0.0, 4.0], [1.0, 0.0, 5.0, 0.0, 4.0]])
-    codes = kernels.routh_codes(params.T[::-1], TOL)
+    codes = _codes(kernels.routh_codes, 2, params.T[::-1], TOL)
     assert codes.tolist() == [2, BOUNDARY_ROOT]
 
 
@@ -571,9 +588,10 @@ def test_constructed_blocks_match_scalar():
                                (kernels.jury_codes, jury_scan)):
             expected = [scalar(c, TOL) for c in cols]
             np.testing.assert_array_equal(
-                kernel(coeffs, TOL), expected, err_msg=f"{kernel.__name__} n={n}"
+                _codes(kernel, len(cols), coeffs, TOL), expected,
+                err_msg=f"{kernel.__name__} n={n}",
             )
-        codes = kernels.routh_codes(coeffs, TOL)
+        codes = _codes(kernels.routh_codes, len(cols), coeffs, TOL)
         if coeffs is constants:
             assert codes.tolist() == [ZERO_LEADING] * 3 + [0] * 3 + [ZERO_LEADING]
         elif coeffs is not non_finite:
@@ -620,9 +638,38 @@ def test_per_sample_wrappers_match_reference():
 
 
 def test_empty_chunk():
-    coeffs = np.empty((4, 0))
-    assert kernels.routh_codes(coeffs, TOL).shape == (0,)
-    assert kernels.jury_codes(coeffs, TOL).shape == (0,)
+    """Every batch kernel, and batch_indices on every route, gives an empty
+    code array for an empty block."""
+    coeffs, mats, radii = np.empty((4, 0)), np.empty((0, 3, 3)), np.empty(0)
+    codes = [
+        _codes(kernels.routh_codes, 0, coeffs, TOL),
+        _codes(kernels.jury_codes, 0, coeffs, TOL),
+        _codes(kernels.companion_region_codes, 0, coeffs, "left-half-plane", TOL),
+        _codes(kernels.companion_region_codes, 0, coeffs, "disk", TOL),
+        _codes(kernels.batch_matrix_halfplane, 0, mats, TOL),
+        _codes(kernels.batch_pencil_disk, 0, mats, radii, TOL),
+    ]
+    assert [c.shape for c in codes] == [(0,)] * len(codes)
+    for kind in FAMILY_KINDS:
+        family = ModelFamily(kind, 3)
+        for method in models.METHODS:
+            codes = models.batch_indices(family, np.empty((0, family.param_count)), method)
+            assert codes.shape == (0,) and codes.dtype == np.int64, (kind, method)
+
+
+def _exact_mobius_rows(limit):
+    """Yield (n, rows) for n = 0..limit, rows[j] the ascending integer
+    coefficients of (z+1)^j (z-1)^(n-j) in exact Python integers: row 0 is
+    (z-1) times the last order's row 0, row j its row j - 1 times (z+1)."""
+
+    def times(poly, c):  # poly * (z + c)
+        return [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+
+    rows = [[1]]
+    yield 0, rows
+    for n in range(1, limit + 1):
+        rows = [times(rows[0], -1)] + [times(row, 1) for row in rows]
+        yield n, rows
 
 
 def test_mobius_weights_are_binomial_products():
@@ -638,3 +685,13 @@ def test_mobius_weights_are_binomial_products():
                 poly.astype(float).view(np.int64),
                 err_msg=f"n={n} j={j}",
             )
+
+
+def test_mobius_weights_are_exact_through_order_56():
+    """mobius_weights(n) equals the exact integer weights through n = 56,
+    as its docstring states, and n = 57 is the first order whose entries
+    pass 2**53 and are rounded.  Python compares an int with a float
+    exactly."""
+    for n, rows in _exact_mobius_rows(57):
+        exact = kernels.mobius_weights(n).tolist() == rows
+        assert exact == (n <= 56), f"n={n}"

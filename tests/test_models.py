@@ -283,3 +283,31 @@ class TestAutoFallback:
         monkeypatch.setattr(kernels, "eig_halfplane_codes", recording)
         assert np.array_equal(batch_indices(fam, params, "auto"), whole)
         assert max(widths) == 7 and sum(widths) == left
+
+    @pytest.mark.parametrize(
+        "kind, name", [("cont-sys", "eig_halfplane_codes"), ("disc-eq", "companion_region_codes")]
+    )
+    def test_eigen_route_runs_in_eigen_blocks(self, monkeypatch, kind, name):
+        """--method eigen, which verify's oracle also runs, is cut into the
+        same blocks: with the eigen width at 7 its codes equal those of one
+        unsliced kernel call, and no block is wider."""
+        fam = ModelFamily(kind, 6)
+        params = np.random.default_rng(6).standard_normal((100, fam.param_count))
+        if kind == "cont-sys":
+            whole = kernels.eig_halfplane_codes(params.reshape(-1, 6, 6), 1e-12)
+        else:
+            with kernels.lend() as ws:
+                whole = kernels.companion_region_codes(
+                    params.T[::-1], "disk", 1e-12, ws, np.empty(100, np.int64)
+                )
+        widths = []
+        real = getattr(kernels, name)
+
+        def recording(block, *rest):
+            widths.append(block.shape[0] if kind == "cont-sys" else block.shape[1])
+            return real(block, *rest)
+
+        monkeypatch.setattr(kernels, "_eigen_width", lambda n: 7)
+        monkeypatch.setattr(kernels, name, recording)
+        assert np.array_equal(batch_indices(fam, params, "eigen", 1e-12), whole)
+        assert widths == [7] * 14 + [2]

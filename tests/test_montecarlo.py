@@ -185,6 +185,42 @@ class TestDeterminism:
             pytest.fail("the forked child's sharded run did not finish in 30 s")
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_and_parent_run_at_once(self):
+        """A child forked after a run inherits its parent's idle
+        workspaces.  While parent and child each run the same estimation
+        three times at the same moment, both get the histogram of that run
+        made alone: a slab mapped shared would let each write into the
+        other's blocks."""
+        cfg = EstimationConfig(ModelFamily("cont-sys", 6), 20_000, 5)
+        want = run_estimation(cfg).counts.tolist()
+        start_read, start_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            status = 1
+            try:
+                os.close(start_write)
+                os.read(start_read, 1)
+                got = [run_estimation(cfg).counts.tolist() for _ in range(3)]
+                status = 0 if got == [want] * 3 else 2
+            finally:
+                os._exit(status)
+        os.close(start_read)
+        os.write(start_write, b"!")
+        os.close(start_write)
+        try:
+            got = [run_estimation(cfg).counts.tolist() for _ in range(3)]
+        finally:
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert done[0] != 0, "the forked child's runs did not finish in 60 s"
+        assert got == [want] * 3, "the parent's runs"
+        assert os.waitstatus_to_exitcode(done[1]) == 0, "the child's runs"
+
 
 class TestAgainstKnownValues:
     def test_cont_eq_order_one_even_split(self):
@@ -312,12 +348,12 @@ class TestConvergence:
     def test_buffered_draws_equal_fresh_draws(self):
         """Draws into a shard's workspace equal a fresh draw bit for bit
         while the block grows and shrinks, and later blocks reuse its
-        memory; a block under glibc's 128 KiB mmap threshold is a fresh
-        array.  A shard that runs while another holds a workspace, on this
-        thread or another, draws into a workspace of its own."""
+        memory, a block far under glibc's 128 KiB mmap threshold too, and
+        every block starts on a cache line.  A shard that runs while another
+        holds a workspace, on this thread or another, draws into a workspace
+        of its own."""
         blocks = []
-        ws = montecarlo._take_workspace()
-        try:
+        with kernels.lend() as ws:
             shapes = [(16_384, 36), (6_000, 3), (9_000, 5), (16_384, 36), (100, 3)]
             for shard, shape in enumerate(shapes):
                 with ws.scope():
@@ -327,21 +363,18 @@ class TestConvergence:
                 assert got.shape == want.shape and got.flags.c_contiguous
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 blocks.append(got)
-            assert all(np.shares_memory(blocks[0], b) for b in blocks[1:4])
-            assert not np.shares_memory(blocks[0], blocks[4])
+            assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
+            assert all(b.ctypes.data % 64 == 0 for b in blocks)
             assert self._held_workspace() is not ws
             with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
                 assert pool.submit(self._held_workspace).result() is not ws
-        finally:
-            montecarlo._spare_workspaces.append(ws)
         assert self._held_workspace() is ws  # handed back, and taken again first
 
     @staticmethod
     def _held_workspace():
-        """Take a workspace as a shard does, hand it back, and return it."""
-        ws = montecarlo._take_workspace()
-        montecarlo._spare_workspaces.append(ws)
-        return ws
+        """Borrow a workspace as a shard does, hand it back, and return it."""
+        with kernels.lend() as ws:
+            return ws
 
     @pytest.mark.parametrize("kind, n, k", [("disc-eq", 2, 2), ("cont-sys", 3, 0)])
     def test_rows_equal_separate_runs(self, kind, n, k):
@@ -468,8 +501,8 @@ class TestWorkingSet:
         every row to the eigen fallback, whose unsliced companion stack
         would take 18 MB."""
         monkeypatch.setattr(montecarlo, "CHUNK", chunk)
-        monkeypatch.setattr(montecarlo, "_spare_workspaces", [])
-        monkeypatch.setattr(montecarlo, "Workspace", HighWaterWorkspace)
+        monkeypatch.setattr(kernels, "_idle", [])
+        monkeypatch.setattr(kernels, "Workspace", HighWaterWorkspace)
         cfg = EstimationConfig(ModelFamily(kind, n), samples, 5, method=method, shards=shards)
         tracemalloc.start()
         try:
@@ -478,7 +511,7 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         budget = kernels._BLOCK_BYTES
-        used = [ws.high / budget for ws in montecarlo._spare_workspaces]
+        used = [ws.high / budget for ws in kernels._idle]
         assert 1 <= len(used) <= shards
         assert peak / budget + max(used) < 3, f"peak {peak / budget:.2f} budgets, used {used}"
         assert max(used) <= 1.5, f"workspaces used {used} budgets"
@@ -515,7 +548,7 @@ class TestWorkingSet:
         "auto" hands the rows the scan leaves indeterminate (a few percent
         at disc-eq n = 40) to eigenvalues, which run no scan block."""
         drawn, made = [], []
-        name = "_routh_block" if kind == "cont-eq" else "_jury_block"
+        name = "routh_codes" if kind == "cont-eq" else "jury_codes"
         real_indices, real_block = montecarlo.batch_indices, getattr(kernels, name)
 
         def recording_indices(family, params, *rest):
