@@ -217,10 +217,12 @@ def routh_scan(coeffs, tol):
 # is its one owner: it cuts any input into blocks of models.block_rows rows,
 # each within one byte budget, _BLOCK_BYTES, and runs each block in one
 # scope of the workspace it was passed, or of one lent from this module's
-# pool (lend).  A kernel writes its codes into the array its caller passes
-# (out) and takes every working array from that workspace; the block's
-# scope gives them back.  The Monte Carlo layer draws blocks of the same
-# width on the same workspace, so each drawn block is one kernel call.
+# pool (lend).  Every kernel it calls writes its codes into the int64 array
+# its caller passes (out) and returns it, and takes every working array
+# from that workspace (the eigenvalue kernels need none: LAPACK allocates
+# eigvals' output); the block's scope gives them back.  The Monte Carlo
+# layer draws blocks of the same width on the same workspace, so each
+# drawn block is one kernel call.
 #
 # The equation families' scans (routh_codes, jury_codes) are sized by what
 # the Jury scan holds at once (_scan_width): 3n + 4 float rows while it maps
@@ -594,7 +596,7 @@ def batch_matrix_halfplane(mats, tol, ws, out):
 
 
 def batch_pencil_disk(mats, radii, tol, ws, out):
-    """Write eig_disk_codes(mats, radii, tol) of one block into out, and
+    """Write the codes eig_disk_codes gives one block into out, and
     return it: the characteristic polynomial, then the Jury scan (the
     Moebius map, then the Routh scan).
 
@@ -604,8 +606,9 @@ def batch_pencil_disk(mats, radii, tol, ws, out):
     leading coefficient at det-scale instead of r^n, so small radii stay well
     conditioned, and r is never divided by.  At r = 0 that polynomial is
     c_0 y^n alone, whose own scale passes any rounding residue of det A, so
-    c_0 is tested against the unscaled coefficients instead: a ~0 det A
-    makes the pencil 0 x - A singular, with no count (ZERO_LEADING).
+    c_0 leads the reversed, unscaled coefficients in _small_leads instead
+    (their x^n keeps the scale at 1 or more): a ~0 det A makes the pencil
+    0 x - A singular, with no count (ZERO_LEADING).
     """
     coeffs = _char_poly_block(mats, ws)
     n = coeffs.shape[0] - 1
@@ -620,33 +623,35 @@ def batch_pencil_disk(mats, radii, tol, ws, out):
     if not radii.all():
         zero = np.flatnonzero(radii == 0.0)
         c = coeffs.take(zero, axis=1)
-        out[zero[np.abs(c[0]) <= tol * _abs_max(c, ws)]] = ZERO_LEADING
+        out[zero[_small_leads(c[::-1], tol, ws)]] = ZERO_LEADING
     return out
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue batch paths: one stacked LAPACK call per chunk.
+# Eigenvalue batch paths: one stacked LAPACK call per block (_eigen_width).
 
 
-def eig_halfplane_codes(mats, tol):
-    """Counts of eigenvalues with Re < 0 for a (count, n, n) stack."""
+def eig_halfplane_codes(mats, tol, out):
+    """Write the counts of eigenvalues with Re < 0 of each matrix of a
+    (count, n, n) stack into the int64 array out, and return it."""
     lam = np.linalg.eigvals(mats)
-    mod = np.abs(lam)
-    thr = tol * mod.max(axis=1)
+    thr = tol * np.abs(lam).max(axis=1)
     boundary = (np.abs(lam.real) <= thr[:, None]).any(axis=1)
-    counts = (lam.real < 0.0).sum(axis=1).astype(np.int64)
-    return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
+    np.sum(lam.real < 0.0, axis=1, out=out)
+    out[boundary] = BOUNDARY_ROOT
+    return out
 
 
-def eig_disk_codes(mats, radii, tol):
-    """Counts of eigenvalues with |x| < radii[i] for each matrix mats[i] of a
-    (count, n, n) stack; radii is a length-count array."""
-    lam = np.linalg.eigvals(mats)
-    mod = np.abs(lam)
+def eig_disk_codes(mats, radii, tol, out):
+    """Write the counts of eigenvalues with |x| < radii[i] of each matrix
+    mats[i] of a (count, n, n) stack into the int64 array out, and return
+    it; radii is a length-count array."""
+    mod = np.abs(np.linalg.eigvals(mats))
     thr = tol * np.maximum(mod.max(axis=1), radii)
     boundary = (np.abs(mod - radii[:, None]) <= thr[:, None]).any(axis=1)
-    counts = (mod < radii[:, None]).sum(axis=1).astype(np.int64)
-    return np.where(boundary, np.int64(BOUNDARY_ROOT), counts)
+    np.sum(mod < radii[:, None], axis=1, out=out)
+    out[boundary] = BOUNDARY_ROOT
+    return out
 
 
 def companion_region_codes(coeffs, region, tol, ws, out):
@@ -655,18 +660,16 @@ def companion_region_codes(coeffs, region, tol, ws, out):
     eigenvalues; region is "left-half-plane" or "disk" (radius 1)."""
     n = coeffs.shape[0] - 1
     out.fill(ZERO_LEADING)
-    scale = _abs_max(coeffs, ws)
-    ok = (scale > 0.0) & (np.abs(coeffs[n]) > tol * scale)
+    ok = ~_small_leads(coeffs, tol, ws)
     good = coeffs.compress(ok, axis=1)
     comp = ws.take((good.shape[1], n, n))
-    comp.fill(0.0)
-    idx = np.arange(n - 1)
-    comp[:, idx, idx + 1] = 1.0
+    comp[:] = np.eye(n, k=1)
     comp[:, n - 1, :] = (-good[:n] / good[n]).T
+    codes = ws.take(comp.shape[:1], np.int64)
     if region == "left-half-plane":
-        out[ok] = eig_halfplane_codes(comp, tol)
+        out[ok] = eig_halfplane_codes(comp, tol, codes)
     else:
-        out[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol)
+        out[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol, codes)
     return out
 
 

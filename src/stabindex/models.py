@@ -169,12 +169,13 @@ def eigen_region_count(
     """
     validate_tol(tol)
     a = _as_square(m)
+    codes = np.empty(1, np.int64)
     if region == "left-half-plane":
-        codes = kernels.eig_halfplane_codes(a[None, :, :], tol)
+        kernels.eig_halfplane_codes(a[None, :, :], tol, codes)
     elif region == "disk":
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"disk radius must be a finite positive number, got {radius}")
-        codes = kernels.eig_disk_codes(a[None, :, :], np.array([radius]), tol)
+        kernels.eig_disk_codes(a[None, :, :], np.array([radius]), tol, codes)
     else:
         raise ValueError(f"unknown region {region!r}")
     return RootCount.from_code(codes[0])
@@ -302,29 +303,23 @@ def batch_indices(
     n = family.n
 
     def codes_of(block, route, out):
-        if family.kind == "cont-eq":
+        if family.kind in ("cont-eq", "disc-eq"):
             coeffs = block.T[::-1]
-            if route == "rh":
+            if route == "eigen":
+                region = "left-half-plane" if family.kind == "cont-eq" else "disk"
+                return kernels.companion_region_codes(coeffs, region, tol, ws, out)
+            if family.kind == "cont-eq":
                 return kernels.routh_codes(coeffs, tol, ws, out)
-            return kernels.companion_region_codes(coeffs, "left-half-plane", tol, ws, out)
-        if family.kind == "disc-eq":
-            coeffs = block.T[::-1]
-            if route == "rh":
-                return kernels.jury_codes(coeffs, tol, ws, out)
-            return kernels.companion_region_codes(coeffs, "disk", tol, ws, out)
+            return kernels.jury_codes(coeffs, tol, ws, out)
+        mats = block[:, -n * n :].reshape(-1, n, n)  # a disc-sys row has b first
         if family.kind == "cont-sys":
-            mats = block.reshape(-1, n, n)
             if route == "rh":
                 return kernels.batch_matrix_halfplane(mats, tol, ws, out)
-            out[:] = kernels.eig_halfplane_codes(mats, tol)
-            return out
-        # disc-sys
+            return kernels.eig_halfplane_codes(mats, tol, out)
         radii = np.abs(block[:, 0])
-        mats = block[:, 1:].reshape(-1, n, n)
         if route == "rh":
             return kernels.batch_pencil_disk(mats, radii, tol, ws, out)
-        out[:] = kernels.eig_disk_codes(mats, radii, tol)
-        return out
+        return kernels.eig_disk_codes(mats, radii, tol, out)
 
     def classify(rows, route):
         """The codes of ``rows`` on ``route``, one block at a time."""

@@ -301,9 +301,9 @@ def test_structured_stacks_match_scalar_and_eigenvalues(kind):
             params = mats.reshape(mats.shape[0], n * n)
             if kind == "disc-sys":
                 params = np.column_stack([radii, params])
-                eigen = kernels.eig_disk_codes(mats, radii, TOL)
+                eigen = kernels.eig_disk_codes(mats, radii, TOL, np.empty(len(mats), np.int64))
             else:
-                eigen = kernels.eig_halfplane_codes(mats, TOL)
+                eigen = kernels.eig_halfplane_codes(mats, TOL, np.empty(len(mats), np.int64))
             codes = _batch_codes(kind, n, params)
             np.testing.assert_array_equal(
                 codes, _scalar_codes(kind, n, params), err_msg=f"{name} n={n}"
@@ -639,17 +639,29 @@ def test_per_sample_wrappers_match_reference():
 
 def test_empty_chunk():
     """Every batch kernel, and batch_indices on every route, gives an empty
-    code array for an empty block."""
-    coeffs, mats, radii = np.empty((4, 0)), np.empty((0, 3, 3)), np.empty(0)
-    codes = [
-        _codes(kernels.routh_codes, 0, coeffs, TOL),
-        _codes(kernels.jury_codes, 0, coeffs, TOL),
-        _codes(kernels.companion_region_codes, 0, coeffs, "left-half-plane", TOL),
-        _codes(kernels.companion_region_codes, 0, coeffs, "disk", TOL),
-        _codes(kernels.batch_matrix_halfplane, 0, mats, TOL),
-        _codes(kernels.batch_pencil_disk, 0, mats, radii, TOL),
-    ]
-    assert [c.shape for c in codes] == [(0,)] * len(codes)
+    code array for an empty block.  Every kernel batch_indices calls writes
+    its codes into the out array it is passed and returns that array, on an
+    empty block and on a 5-row block of normal draws."""
+    for count in (0, 5):
+        rng = np.random.default_rng(count)
+        coeffs = rng.standard_normal((4, count))
+        mats = rng.standard_normal((count, 3, 3))
+        radii = np.abs(rng.standard_normal(count))
+        with kernels.lend() as ws:
+            calls = [
+                (kernels.routh_codes, coeffs, TOL, ws),
+                (kernels.jury_codes, coeffs, TOL, ws),
+                (kernels.companion_region_codes, coeffs, "left-half-plane", TOL, ws),
+                (kernels.companion_region_codes, coeffs, "disk", TOL, ws),
+                (kernels.batch_matrix_halfplane, mats, TOL, ws),
+                (kernels.batch_pencil_disk, mats, radii, TOL, ws),
+                (kernels.eig_halfplane_codes, mats, TOL),
+                (kernels.eig_disk_codes, mats, radii, TOL),
+            ]
+            for kernel, *args in calls:
+                out = np.empty(count, np.int64)
+                with ws.scope():
+                    assert kernel(*args, out) is out, (kernel.__name__, count)
     for kind in FAMILY_KINDS:
         family = ModelFamily(kind, 3)
         for method in models.METHODS:

@@ -275,9 +275,9 @@ class TestAutoFallback:
         widths = []
         real = kernels.eig_halfplane_codes
 
-        def recording(mats, tol):
+        def recording(mats, tol, out):
             widths.append(mats.shape[0])
-            return real(mats, tol)
+            return real(mats, tol, out)
 
         monkeypatch.setattr(kernels, "_eigen_width", lambda n: 7)
         monkeypatch.setattr(kernels, "eig_halfplane_codes", recording)
@@ -294,7 +294,9 @@ class TestAutoFallback:
         fam = ModelFamily(kind, 6)
         params = np.random.default_rng(6).standard_normal((100, fam.param_count))
         if kind == "cont-sys":
-            whole = kernels.eig_halfplane_codes(params.reshape(-1, 6, 6), 1e-12)
+            whole = kernels.eig_halfplane_codes(
+                params.reshape(-1, 6, 6), 1e-12, np.empty(100, np.int64)
+            )
         else:
             with kernels.lend() as ws:
                 whole = kernels.companion_region_codes(

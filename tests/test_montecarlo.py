@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stabindex import kernels, montecarlo
-from stabindex.models import DEFAULT_TOL, ModelFamily
+from stabindex.models import DEFAULT_TOL, ModelFamily, batch_indices
 from reference import HighWaterWorkspace
 from stabindex.montecarlo import (
     EstimationAbort,
@@ -593,3 +593,39 @@ class TestWorkingSet:
         finally:
             sys.setswitchinterval(interval)
         assert together == [[counts] * 3 for counts in serial]
+
+    @pytest.mark.parametrize(
+        "kind, n", [("cont-eq", 4), ("disc-eq", 6), ("cont-sys", 6), ("disc-sys", 5)]
+    )
+    def test_full_slab_hands_out_fresh_arrays(self, monkeypatch, kind, n):
+        """An array the slab has no room left for is a fresh np.empty, as a
+        1-row char-poly block's are from n of about 500.  On a workspace
+        built with a 4 KiB budget (an 8 KiB slab), which most of every
+        block's arrays overflow, batch_indices gives the codes it gives on
+        a lent workspace, and a run lent only that workspace gives the
+        usual histogram; each leaves the slab's top at 0."""
+
+        class Counting(kernels.Workspace):
+            fresh = 0
+
+            def take(self, shape, dtype=np.float64):
+                out = super().take(shape, dtype)
+                self.fresh += out.base is None  # not a view of the slab
+                return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_BYTES", 4096)
+            ws = Counting()
+        family = ModelFamily(kind, n)
+        params = np.random.default_rng(n).standard_normal((3000, family.param_count))
+        codes = batch_indices(family, params, "rh", workspace=ws)
+        np.testing.assert_array_equal(codes, batch_indices(family, params, "rh"))
+        assert ws._top == 0 and ws.fresh > 0
+        cfg = EstimationConfig(family, 20_000, 7)
+        usual = run_estimation(cfg)
+        ws.fresh = 0
+        monkeypatch.setattr(kernels, "_idle", [ws])
+        hist = run_estimation(cfg)
+        assert kernels._idle == [ws] and ws._top == 0 and ws.fresh > 0
+        assert hist.counts.tolist() == usual.counts.tolist()
+        assert hist.indeterminate == usual.indeterminate
