@@ -253,18 +253,21 @@ class Workspace:
 
     take(shape, dtype) carves a C-contiguous array off the top of one fixed
     slab, room for a drawn block and the working arrays of one block of
-    any route, each within _BLOCK_BYTES; a scope (``with
-    ws.scope():``) gives back, when it exits, everything taken inside it,
-    so a block's arrays, and each phase's within it, stack up and fall away
-    in order.  Small arrays come from the slab too, so a block never
-    touches malloc's heap, and its speed does not depend on what the heap
-    went through before (whether glibc has raised its trim threshold).  The
-    slab is a private anonymous mapping: a forked child writes to copies of
-    its pages, never to its parent's.  It is not advised to use huge pages
-    as numpy's large arrays are, so only the pages a block touches become
-    resident.  An array the slab has no room left for is a fresh np.empty
-    instead.  Arrays taken inside a scope must not be used after it exits.
-    Callers get one from lend.
+    any route, each within _BLOCK_BYTES; a scope (``with ws:``) gives back,
+    when it exits, everything taken inside it, so a block's arrays, and
+    each phase's within it, stack up and fall away in order.  Small arrays
+    come from the slab too, so a kernel's own working arrays do not depend
+    on what malloc's heap went through before (whether glibc has raised
+    its trim threshold).  What still comes from the heap: eigvals' output
+    and the comparisons on it, the eigenvalue route's compress copy of the
+    columns it keeps, and the masks and index arrays that pick out columns
+    for a fallback or a fixed code.  The slab is a private anonymous
+    mapping: a forked child writes to copies of its pages, never to its
+    parent's.  It is not advised to use huge pages as numpy's large arrays
+    are, so only the pages a block touches become resident.  An array the
+    slab has no room left for is a fresh np.empty instead.  Arrays taken
+    inside a scope must not be used after it exits.  Callers get one from
+    lend.
     """
 
     def __init__(self):
@@ -282,9 +285,6 @@ class Workspace:
         self._top = top
         return np.ndarray(shape, dtype, self._slab, start)
 
-    def scope(self):
-        return self
-
     def __enter__(self):
         self._marks.append(self._top)
         return self
@@ -297,24 +297,20 @@ _idle = []  # workspaces no caller holds, the latest last
 
 
 @contextmanager
-def lend(ws=None):
-    """A scope of ``ws``, or, when it is None, of a workspace that no other
-    caller holds: the one handed back last, or a new one, handed back when
-    the scope exits.  Workspaces outlive their callers and threads, so warm
-    blocks map no fresh pages; no two callers that hold one at once share
-    it."""
-    lent = ws is None
-    if lent:
-        try:
-            ws = _idle.pop()
-        except IndexError:
-            ws = Workspace()
+def lend():
+    """A scope of a workspace that no other caller holds: the one handed
+    back last, or a new one, handed back when the scope exits.  Workspaces
+    outlive their callers and threads, so warm blocks map no fresh pages;
+    no two callers that hold one at once share it."""
     try:
-        with ws.scope():
+        ws = _idle.pop()
+    except IndexError:
+        ws = Workspace()
+    try:
+        with ws:
             yield ws
     finally:
-        if lent:
-            _idle.append(ws)
+        _idle.append(ws)
 
 
 def _scan_width(n):
@@ -351,7 +347,7 @@ def _abs_max(cols, ws):
     on return: on a transposed view the reduction would otherwise run
     across the contiguous axis, many times slower."""
     out = ws.take(cols.shape[1:])
-    with ws.scope():
+    with ws:
         absolute = np.abs(cols, out=ws.take(cols.shape))
         np.fmax.reduce(absolute, axis=0, initial=0.0, out=out)
     return out
@@ -378,7 +374,7 @@ def routh_codes(coeffs, tol, ws, out):
     thr *= tol
     least = ws.take((count,))
     signs = ws.take((n + 1, count), bool)  # pivot signs, row by row
-    with ws.scope():
+    with ws:
         prev, cur, nxt = ws.take((3, n // 2 + 1, count))
         np.copyto(prev, coeffs[::-2])
         cur[(n + 1) // 2 :] = 0.0
@@ -434,7 +430,7 @@ def _small_leads(coeffs, tol, ws):
     the column's largest |c|, or the column all zero.  The flags are taken
     from ws, and the scale above them, given back on return."""
     small = ws.take(coeffs.shape[1:], bool)
-    with ws.scope():
+    with ws:
         scale = _abs_max(coeffs, ws)
         np.equal(scale, 0.0, out=small)
         scale *= tol
@@ -452,7 +448,7 @@ def _mobius_block(coeffs, ws):
     weights = mobius_weights(coeffs.shape[0] - 1)
     star = ws.take(coeffs.shape)
     star.fill(0.0)
-    with ws.scope():
+    with ws:
         rows = ws.take(coeffs.shape)
         np.copyto(rows, coeffs)
         term = ws.take(coeffs.shape)
@@ -484,12 +480,12 @@ def _char_poly_block(mats, ws):
     """
     count, n, _ = mats.shape
     coeffs = ws.take((n + 1, count))
-    with ws.scope():
+    with ws:
         h = ws.take((n, n, count))
         np.copyto(h, mats.transpose(1, 2, 0))
-        with ws.scope():
+        with ws:
             _hessenberg_block(h, ws)
-        with ws.scope():
+        with ws:
             _la_budde_block(h, coeffs, ws)
     return coeffs
 
@@ -654,17 +650,30 @@ def eig_disk_codes(mats, radii, tol, out):
     return out
 
 
+def _companion_block(coeffs, ws):
+    """The (count, n, n) companion matrices of an (n+1, count) block of
+    ascending coefficients with nonzero leading entries, taken from ws:
+    ones on the superdiagonal and -c[:n] / c[n] as the last row.  The
+    quotient is divided straight into that row and negated in place;
+    negation is exact, so these are the IEEE values of (-c[:n]) / c[n]."""
+    n, count = coeffs.shape[0] - 1, coeffs.shape[1]
+    comp = ws.take((count, n, n))
+    np.copyto(comp, np.eye(n, k=1))
+    last = comp[:, n - 1]
+    np.divide(coeffs[:n].T, coeffs[n][:, None], out=last)
+    np.negative(last, out=last)
+    return comp
+
+
 def companion_region_codes(coeffs, region, tol, ws, out):
     """Write the region counts of one block of finite (n+1, count)
     ascending-coefficient columns into out, and return it, via companion
-    eigenvalues; region is "left-half-plane" or "disk" (radius 1)."""
-    n = coeffs.shape[0] - 1
+    eigenvalues; region is "left-half-plane" or "disk" (radius 1).  Columns
+    with a ~0 leading coefficient (_small_leads) are ZERO_LEADING; the
+    others are copied out of the block before their stack is built."""
     out.fill(ZERO_LEADING)
-    ok = ~_small_leads(coeffs, tol, ws)
-    good = coeffs.compress(ok, axis=1)
-    comp = ws.take((good.shape[1], n, n))
-    comp[:] = np.eye(n, k=1)
-    comp[:, n - 1, :] = (-good[:n] / good[n]).T
+    ok = np.logical_not(_small_leads(coeffs, tol, ws), out=ws.take(out.shape, bool))
+    comp = _companion_block(coeffs.compress(ok, axis=1), ws)
     codes = ws.take(comp.shape[:1], np.int64)
     if region == "left-half-plane":
         out[ok] = eig_halfplane_codes(comp, tol, codes)

@@ -141,20 +141,17 @@ def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Companion matrix whose characteristic polynomial is ``p`` made monic.
 
     Raises ValueError for degree 0 or a leading coefficient within tolerance
-    of zero.
+    of zero (the batch rule, kernels._small_leads).  Built by the batch
+    kernel on one column, on a lent workspace.
     """
     validate_tol(tol)
-    c = _as_coeffs(p)
-    n = c.size - 1
-    if n < 1:
+    c = _as_coeffs(p)[:, None]
+    if c.shape[0] < 2:
         raise ValueError("companion matrix needs degree >= 1")
-    scale = np.abs(c).max()
-    if scale == 0.0 or abs(c[n]) <= tol * scale:
-        raise ValueError("zero leading coefficient")
-    comp = np.zeros((n, n))
-    comp[np.arange(n - 1), np.arange(1, n)] = 1.0
-    comp[n - 1, :] = -c[:n] / c[n]
-    return comp
+    with lend() as ws:
+        if kernels._small_leads(c, tol, ws)[0]:
+            raise ValueError("zero leading coefficient")
+        return kernels._companion_block(c, ws)[0].copy()
 
 
 def eigen_region_count(
@@ -327,11 +324,11 @@ def batch_indices(
         step = block_rows(family, route, max(1, rows.shape[0]))
         for start in range(0, rows.shape[0], step):
             part = slice(start, start + step)
-            with ws.scope():
+            with ws:
                 codes_of(rows[part], route, out[part])
         return out
 
-    with lend(workspace) as ws:
+    with lend() if workspace is None else workspace as ws:
         codes = classify(params, resolve_method(family, method))
         if method == "auto" and codes.min(initial=0) < 0:
             left = np.flatnonzero(codes < 0)

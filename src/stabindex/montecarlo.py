@@ -160,7 +160,7 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     with lend() as ws:
         while size is not None:
             take = min(rows, sizes[-1] - done)
-            with ws.scope():
+            with ws:
                 params = ws.take((take, family.param_count))
                 rng.standard_normal(out=params)
                 codes = batch_indices(family, params, cfg.method, cfg.tol, ws)

@@ -1,13 +1,19 @@
-"""The scalar reference for the batch kernels' char-poly, Moebius and Jury
-recurrences.
+"""The scalar reference for the batch kernels' char-poly, Moebius, Jury
+and companion constructions, and an exact referee for the equation
+families' root counts.
 
 Plain Python over one polynomial or matrix: their sums and matrix products
 are explicit loops, written in the floating-point order the batch kernels
 replay column by column, so tests/test_kernels.py compares the two bit for
 bit.  They live beside the tests because nothing in the package calls them.
+The referee counts in exact rational arithmetic instead: every float64 is
+a dyadic rational, so Fraction(x) is exact, and the count it gives is the
+drawn polynomial's own, independent of both float routes.
 HighWaterWorkspace measures how much of a workspace the blocks use.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from math import copysign, sqrt
 
 import numpy as np
@@ -46,6 +52,80 @@ def jury_scan(coeffs, tol):
         return ZERO_LEADING
     code = routh_scan(mobius_apply(coeffs), tol)
     return BOUNDARY_ROOT if code == ZERO_LEADING else code
+
+
+def companion(coeffs):
+    """Companion matrix of ascending coefficients with c[n] != 0: np.zeros,
+    ones on the superdiagonal, and (-c[:n]) / c[n] as the last row."""
+    n = coeffs.shape[0] - 1
+    comp = np.zeros((n, n))
+    comp[np.arange(n - 1), np.arange(1, n)] = 1.0
+    comp[n - 1] = (-coeffs[:n]) / coeffs[n]
+    return comp
+
+
+def exact_routh_count(coeffs):
+    """The exact number of roots with Re < 0 of ascending coefficients, by
+    the Routh array over Fraction, or None where the array cannot count: an
+    exact zero leading coefficient, or an exact zero pivot (an all-zero row
+    starts with one).  With every pivot nonzero no root lies on the
+    imaginary axis, and the sign changes of the pivots count the roots
+    with Re > 0."""
+    c = [Fraction(x) for x in coeffs]
+    n = len(c) - 1
+    if c[n] == 0:
+        return None
+    w = n // 2 + 1
+    zeros = [Fraction(0)] * w
+    prev = (c[n::-2] + zeros)[:w]
+    cur = (c[n - 1 :: -2] + zeros)[:w]  # never read at n = 0
+    changes = 0
+    for _ in range(n):  # cur holds the next row of the array
+        if cur[0] == 0:
+            return None
+        changes += (cur[0] > 0) != (prev[0] > 0)
+        q = prev[0] / cur[0]
+        prev, cur = cur, [prev[j + 1] - q * cur[j + 1] for j in range(w - 1)] + [Fraction(0)]
+    return n - changes
+
+
+@lru_cache(maxsize=None)
+def exact_mobius_weights(n):
+    """Rows j = 0..n of W[j][t] = [z^t] (z+1)^j (z-1)^(n-j) in Python
+    integers, by exact convolution: row 0 is (z-1) times order n-1's row 0,
+    row j its row j - 1 times (z+1)."""
+    if n == 0:
+        return ((1,),)
+
+    def times(poly, c):  # poly * (z + c)
+        return tuple(c * a + b for a, b in zip(poly + (0,), (0,) + poly))
+
+    last = exact_mobius_weights(n - 1)
+    return (times(last[0], -1),) + tuple(times(row, 1) for row in last)
+
+
+def exact_mobius(coeffs):
+    """sum_j c[j] (z+1)^j (z-1)^(n-j) over Fraction, ascending."""
+    n = len(coeffs) - 1
+    star = [Fraction(0)] * (n + 1)
+    for c, row in zip(coeffs, exact_mobius_weights(n)):
+        c = Fraction(c)
+        for t, weight in enumerate(row):
+            star[t] += c * weight
+    return star
+
+
+def exact_index(kind, coeffs):
+    """The exact stability index of one equation-family polynomial of
+    ascending coefficients: its roots with Re < 0 for cont-eq, with
+    |x| < 1 for disc-eq (the Moebius image's roots with Re < 0), or None
+    where exact_routh_count stops, a zero leading coefficient of the input
+    included."""
+    if kind == "cont-eq":
+        return exact_routh_count(coeffs)
+    if coeffs[-1] == 0:
+        return None
+    return exact_routh_count(exact_mobius(coeffs))
 
 
 def char_poly(a):

@@ -1,6 +1,6 @@
 """Write the CLI's regression report set into a directory.
 
-Runs 150 ``stabindex`` invocations through ``cli.main`` in one process and
+Runs 152 ``stabindex`` invocations through ``cli.main`` in one process and
 writes each one's stdout, stderr and exit code to ``<name>.out``,
 ``<name>.err`` and ``<name>.code``.  Two trees are compared by writing the
 set against each tree's package and diffing the directories::
@@ -11,9 +11,10 @@ set against each tree's package and diffing the directories::
 
 The set: ``estimate --format json --samples 40000`` for every family at
 n = 1..10 under each method and at n = 11, 12 under ``auto``, ``--method
-rh`` at n = 11, 12 for the two matrix families, two sharded runs,
-``convergence`` in every format, ``verify`` at three sizes, n = 8 in every
-format for three families, and one 100k-sample run.  It takes under a
+rh`` at n = 11, 12 for the two matrix families, ``auto`` at disc-eq
+n = 36 and cont-eq n = 40, two sharded runs, ``convergence`` in every
+format, ``verify`` at three sizes, n = 8 in every format for three
+families, and one 100k-sample run.  It takes under a
 minute on a 2-core x86 VM.
 """
 
@@ -46,6 +47,13 @@ def reports() -> dict:
             out[f"est-{kind}-n{n}-rh"] = _estimate(
                 kind, n, "--method", "rh", "--format", "json", "--samples", "40000"
             )
+    # past the sign scan's reach: at disc-eq n = 36 the Jury scan leaves 187
+    # of the 40000 rows indeterminate, and companion eigenvalues settle
+    # them; at cont-eq n = 40 the Routh scan certifies every row
+    for kind, n in (("disc-eq", 36), ("cont-eq", 40)):
+        out[f"est-{kind}-n{n}-auto"] = _estimate(
+            kind, n, "--method", "auto", "--format", "json", "--samples", "40000"
+        )
     out["est-cont-sys-n6-shards3-table"] = _estimate(
         "cont-sys", 6, "--shards", "3", "--format", "table", "--samples", "40000"
     )

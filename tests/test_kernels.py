@@ -22,7 +22,13 @@ from stabindex.kernels import BOUNDARY_ROOT, ZERO_LEADING, ZERO_PIVOT
 from stabindex.models import FAMILY_KINDS, ModelFamily
 from stabindex.montecarlo import CHUNK
 
-from reference import HighWaterWorkspace, char_poly, jury_scan, mobius_apply
+from reference import (
+    HighWaterWorkspace,
+    char_poly,
+    exact_mobius_weights,
+    jury_scan,
+    mobius_apply,
+)
 
 TOL = 1e-12
 # The matrix families run to n = 12, past verify's oracle orders (1..10),
@@ -365,7 +371,7 @@ def test_char_poly_width_bounds_the_block_peak():
 
         def codes():
             out = np.empty(len(mats), np.int64)
-            with ws.scope():
+            with ws:
                 if kind == "cont-sys":
                     return kernels.batch_matrix_halfplane(mats, TOL, ws, out)
                 return kernels.batch_pencil_disk(mats, radii, TOL, ws, out)
@@ -373,6 +379,36 @@ def test_char_poly_width_bounds_the_block_peak():
         peaks = [_traced_peak(codes) for _ in range(2)]
         assert ws.high <= kernels._BLOCK_BYTES, f"{kind}: workspace used {ws.high} bytes"
         assert max(peaks) < kernels._BLOCK_BYTES // 10, f"{kind}: peaks {peaks} bytes"
+
+
+def test_companion_block_peak_is_an_eigen_block_peak():
+    """One cont-eq n = 6 companion_region_codes block of _eigen_width(6)
+    rows, on a warm lent workspace, allocates at its peak no more than one
+    cont-sys n = 6 eig_halfplane_codes block of as many rows: its stack is
+    built on the slab, and only the compress copy of its columns comes from
+    the heap, freed before eigvals runs.  The allowance is the Python
+    objects of the three slab arrays the companion block holds across
+    eigvals (its flags, stack and codes), which tracemalloc counts too.
+    When the stack was built from heap temporaries, the companion block
+    read 3.3 MB against 2.5 MB."""
+    n = 6
+    rows = kernels._eigen_width(n)
+    coeffs = _draws("cont-eq", n, rows, integer=False).T[::-1]
+    mats = _matrices("cont-sys", n, _draws("cont-sys", n, rows, integer=False))
+    out = np.empty(rows, np.int64)
+    with kernels.lend() as ws:
+
+        def companion():
+            with ws:
+                kernels.companion_region_codes(coeffs, "left-half-plane", TOL, ws, out)
+
+        def eigen():
+            kernels.eig_halfplane_codes(mats, TOL, out)
+
+        companion()
+        eigen()
+        peak, reference_peak = _traced_peak(companion), _traced_peak(eigen)
+    assert peak <= reference_peak + 1024, (peak, reference_peak)
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
@@ -660,28 +696,13 @@ def test_empty_chunk():
             ]
             for kernel, *args in calls:
                 out = np.empty(count, np.int64)
-                with ws.scope():
+                with ws:
                     assert kernel(*args, out) is out, (kernel.__name__, count)
     for kind in FAMILY_KINDS:
         family = ModelFamily(kind, 3)
         for method in models.METHODS:
             codes = models.batch_indices(family, np.empty((0, family.param_count)), method)
             assert codes.shape == (0,) and codes.dtype == np.int64, (kind, method)
-
-
-def _exact_mobius_rows(limit):
-    """Yield (n, rows) for n = 0..limit, rows[j] the ascending integer
-    coefficients of (z+1)^j (z-1)^(n-j) in exact Python integers: row 0 is
-    (z-1) times the last order's row 0, row j its row j - 1 times (z+1)."""
-
-    def times(poly, c):  # poly * (z + c)
-        return [c * a + b for a, b in zip(poly + [0], [0] + poly)]
-
-    rows = [[1]]
-    yield 0, rows
-    for n in range(1, limit + 1):
-        rows = [times(rows[0], -1)] + [times(row, 1) for row in rows]
-        yield n, rows
 
 
 def test_mobius_weights_are_binomial_products():
@@ -704,6 +725,7 @@ def test_mobius_weights_are_exact_through_order_56():
     as its docstring states, and n = 57 is the first order whose entries
     pass 2**53 and are rounded.  Python compares an int with a float
     exactly."""
-    for n, rows in _exact_mobius_rows(57):
+    for n in range(58):
+        rows = [list(row) for row in exact_mobius_weights(n)]
         exact = kernels.mobius_weights(n).tolist() == rows
         assert exact == (n <= 56), f"n={n}"

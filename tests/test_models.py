@@ -19,6 +19,7 @@ from stabindex.models import (
     sample_index,
 )
 
+from reference import exact_index
 
 def _charpoly_cofactor(a):
     """det(xI - a) by cofactor expansion over polynomial entries."""
@@ -313,3 +314,39 @@ class TestAutoFallback:
         monkeypatch.setattr(kernels, name, recording)
         assert np.array_equal(batch_indices(fam, params, "eigen", 1e-12), whole)
         assert widths == [7] * 14 + [2]
+
+
+class TestExactReferee:
+    """The equation families' codes against the exact count of each drawn
+    polynomial (tests/reference.py), a route that shares no float with the
+    sign scan or the companion eigenvalues.  Normal draws never sit on a
+    region boundary, so the referee counts every row."""
+
+    @staticmethod
+    def _exact(kind, params):
+        exact = [exact_index(kind, row[::-1].tolist()) for row in params]
+        assert None not in exact
+        return np.array(exact)
+
+    @pytest.mark.parametrize(
+        "kind, n, rows",
+        [("cont-eq", 12, 300), ("cont-eq", 40, 30), ("disc-eq", 12, 100), ("disc-eq", 30, 10)],
+    )
+    def test_auto_and_certified_scan_codes_are_exact(self, kind, n, rows):
+        fam = ModelFamily(kind, n)
+        params = np.random.default_rng(n).standard_normal((rows, fam.param_count))
+        exact = self._exact(kind, params)
+        assert np.array_equal(batch_indices(fam, params, "auto"), exact)
+        rh = batch_indices(fam, params, "rh")
+        certified = rh >= 0
+        assert np.array_equal(rh[certified], exact[certified])
+
+    def test_companion_fallback_codes_are_exact(self):
+        """The disc-eq n = 36 rows the Jury scan leaves indeterminate, which
+        "auto" settles by companion eigenvalues."""
+        fam = ModelFamily("disc-eq", 36)
+        params = np.random.default_rng(36).standard_normal((2000, fam.param_count))
+        left = np.flatnonzero(batch_indices(fam, params, "rh") < 0)
+        assert left.size > 0
+        auto = batch_indices(fam, params[left], "auto")
+        assert np.array_equal(auto, self._exact("disc-eq", params[left]))

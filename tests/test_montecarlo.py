@@ -356,7 +356,7 @@ class TestConvergence:
         with kernels.lend() as ws:
             shapes = [(16_384, 36), (6_000, 3), (9_000, 5), (16_384, 36), (100, 3)]
             for shard, shape in enumerate(shapes):
-                with ws.scope():
+                with ws:
                     got = ws.take(shape)
                     montecarlo.shard_stream(20231, shard).standard_normal(out=got)
                 want = montecarlo.shard_stream(20231, shard).standard_normal(shape)

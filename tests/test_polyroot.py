@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabindex import kernels
 from stabindex.models import (
     RootCount,
     char_poly,
@@ -15,6 +16,8 @@ from stabindex.models import (
     mobius_star,
     routh_hurwitz_count,
 )
+
+from reference import companion
 
 
 def _disk_oracle(coeffs, radius=1.0):
@@ -180,6 +183,44 @@ class TestCompanion:
     def test_rejects_zero_leading(self):
         with pytest.raises(ValueError):
             companion_matrix([1.0, 1.0, 0.0])
+
+    def test_raises_where_the_batch_rule_flags(self):
+        """companion_matrix raises exactly where kernels._small_leads flags
+        its column: all zero, |c[n]| equal to tol * max|c|, but not one
+        ulp above that."""
+        tol = 1e-12
+        edge = tol * 3.0
+        columns = [[0.0, 0.0, 0.0], [-3.0, 1.5, edge], [-3.0, 1.5, np.nextafter(edge, 1.0)]]
+        flags = []
+        for c in columns:
+            with kernels.lend() as ws:
+                flags.append(bool(kernels._small_leads(np.array(c)[:, None], tol, ws)[0]))
+            if flags[-1]:
+                with pytest.raises(ValueError, match="zero leading"):
+                    companion_matrix(c, tol)
+            else:
+                companion_matrix(c, tol)
+        assert flags == [True, True, False]
+
+    def test_matches_reference_bit_for_bit(self):
+        """On normal and integer {-2..2} columns at n = 1..8 the matrix
+        equals reference.companion's, built on np.zeros with the last row
+        (-c[:n]) / c[n], bit for bit; columns with a zero leading
+        coefficient raise."""
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            cols = [rng.standard_normal(n + 1) for _ in range(50)]
+            cols += [rng.integers(-2, 3, size=n + 1).astype(float) for _ in range(50)]
+            for c in cols:
+                if c[n] == 0.0:
+                    with pytest.raises(ValueError, match="zero leading"):
+                        companion_matrix(c)
+                    continue
+                np.testing.assert_array_equal(
+                    companion_matrix(c).view(np.int64),
+                    companion(c).view(np.int64),
+                    err_msg=f"n={n} c={c}",
+                )
 
 
 class TestEigenRegionCount:
