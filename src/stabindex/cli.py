@@ -43,8 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
-        return "-"
     return f"{x:.5f}"
 
 

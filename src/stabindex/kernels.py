@@ -220,9 +220,12 @@ def routh_scan(coeffs, tol):
 # pool (lend).  Every kernel it calls writes its codes into the int64 array
 # its caller passes (out) and returns it, and takes every working array
 # from that workspace (the eigenvalue kernels need none: LAPACK allocates
-# eigvals' output); the block's scope gives them back.  The Monte Carlo
-# layer draws blocks of the same width on the same workspace, so each
-# drawn block is one kernel call.
+# eigvals' output); the block's scope gives them back.  A kernel classifies
+# every column of its block and then overwrites the columns it settles
+# apart with their fixed code, so no column is gathered out of a block.
+# The Monte Carlo layer draws blocks of the same width, capped at its
+# CHUNK, into one buffer it takes from the same workspace for a whole
+# pass, so each drawn block is one kernel call.
 #
 # The equation families' scans (routh_codes, jury_codes) are sized by what
 # the Jury scan holds at once (_scan_width): 3n + 4 float rows while it maps
@@ -259,15 +262,14 @@ class Workspace:
     come from the slab too, so a kernel's own working arrays do not depend
     on what malloc's heap went through before (whether glibc has raised
     its trim threshold).  What still comes from the heap: eigvals' output
-    and the comparisons on it, the eigenvalue route's compress copy of the
-    columns it keeps, and the masks and index arrays that pick out columns
-    for a fallback or a fixed code.  The slab is a private anonymous
-    mapping: a forked child writes to copies of its pages, never to its
-    parent's.  It is not advised to use huge pages as numpy's large arrays
-    are, so only the pages a block touches become resident.  An array the
-    slab has no room left for is a fresh np.empty instead.  Arrays taken
-    inside a scope must not be used after it exits.  Callers get one from
-    lend.
+    and the comparisons on it, the masks that pick out columns for a fixed
+    code, and the index array of the Routh scan's fallback columns.  The
+    slab is a private anonymous mapping: a forked child writes to copies of
+    its pages, never to its parent's.  It is not advised to use huge pages
+    as numpy's large arrays are, so only the pages a block touches become
+    resident.  An array the slab has no room left for is a fresh np.empty
+    instead.  Arrays taken inside a scope must not be used after it exits.
+    Callers get one from lend.
     """
 
     def __init__(self):
@@ -617,9 +619,7 @@ def batch_pencil_disk(mats, radii, tol, ws, out):
     jury_codes(scaled, tol, ws, out)  # eigenvalues outside radius r
     np.subtract(n, out, out=out, where=out >= 0)
     if not radii.all():
-        zero = np.flatnonzero(radii == 0.0)
-        c = coeffs.take(zero, axis=1)
-        out[zero[_small_leads(c[::-1], tol, ws)]] = ZERO_LEADING
+        out[(radii == 0.0) & _small_leads(coeffs[::-1], tol, ws)] = ZERO_LEADING
     return out
 
 
@@ -650,17 +650,18 @@ def eig_disk_codes(mats, radii, tol, out):
     return out
 
 
-def _companion_block(coeffs, ws):
+def _companion_block(coeffs, keep, ws):
     """The (count, n, n) companion matrices of an (n+1, count) block of
-    ascending coefficients with nonzero leading entries, taken from ws:
-    ones on the superdiagonal and -c[:n] / c[n] as the last row.  The
+    ascending coefficients, taken from ws: ones on the superdiagonal and
+    -c[:n] / c[n] as the last row of each column that ``keep`` flags.  The
     quotient is divided straight into that row and negated in place;
-    negation is exact, so these are the IEEE values of (-c[:n]) / c[n]."""
+    negation is exact, so these are the IEEE values of (-c[:n]) / c[n].
+    Any other column is never divided by, and its last row stays zero."""
     n, count = coeffs.shape[0] - 1, coeffs.shape[1]
     comp = ws.take((count, n, n))
     np.copyto(comp, np.eye(n, k=1))
     last = comp[:, n - 1]
-    np.divide(coeffs[:n].T, coeffs[n][:, None], out=last)
+    np.divide(coeffs[:n].T, coeffs[n][:, None], out=last, where=keep[:, None])
     np.negative(last, out=last)
     return comp
 
@@ -668,17 +669,18 @@ def _companion_block(coeffs, ws):
 def companion_region_codes(coeffs, region, tol, ws, out):
     """Write the region counts of one block of finite (n+1, count)
     ascending-coefficient columns into out, and return it, via companion
-    eigenvalues; region is "left-half-plane" or "disk" (radius 1).  Columns
-    with a ~0 leading coefficient (_small_leads) are ZERO_LEADING; the
-    others are copied out of the block before their stack is built."""
-    out.fill(ZERO_LEADING)
-    ok = np.logical_not(_small_leads(coeffs, tol, ws), out=ws.take(out.shape, bool))
-    comp = _companion_block(coeffs.compress(ok, axis=1), ws)
-    codes = ws.take(comp.shape[:1], np.int64)
+    eigenvalues; region is "left-half-plane" or "disk" (radius 1).  Every
+    column's stack is built and classified; those with a ~0 leading
+    coefficient (_small_leads), whose stack is the nilpotent shift, are
+    then overwritten with ZERO_LEADING, as jury_codes does."""
+    small = _small_leads(coeffs, tol, ws)
+    keep = np.logical_not(small, out=ws.take(small.shape, bool))
+    comp = _companion_block(coeffs, keep, ws)
     if region == "left-half-plane":
-        out[ok] = eig_halfplane_codes(comp, tol, codes)
+        eig_halfplane_codes(comp, tol, out)
     else:
-        out[ok] = eig_disk_codes(comp, np.ones(comp.shape[0]), tol, codes)
+        eig_disk_codes(comp, np.ones(comp.shape[0]), tol, out)
+    out[small] = ZERO_LEADING
     return out
 
 

@@ -149,9 +149,10 @@ def companion_matrix(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     if c.shape[0] < 2:
         raise ValueError("companion matrix needs degree >= 1")
     with lend() as ws:
-        if kernels._small_leads(c, tol, ws)[0]:
+        keep = ~kernels._small_leads(c, tol, ws)
+        if not keep[0]:
             raise ValueError("zero leading coefficient")
-        return kernels._companion_block(c, ws)[0].copy()
+        return kernels._companion_block(c, keep, ws)[0].copy()
 
 
 def eigen_region_count(
@@ -242,24 +243,22 @@ def resolve_method(family: ModelFamily, method: str) -> str:
     return "rh" if method == "auto" else method
 
 
-def block_rows(family: ModelFamily, method: str, cap: int) -> int:
-    """Rows per block of ``family`` on the route ``method`` resolves to, at
-    most ``cap``: one block of the route's kernel, whose working arrays fit
+def block_rows(family: ModelFamily, method: str) -> int:
+    """Rows per block of ``family`` on the route ``method`` resolves to:
+    the width of one block of the route's kernel, whose working arrays fit
     kernels._BLOCK_BYTES.  batch_indices cuts its rows into such blocks,
-    and the Monte Carlo layer draws them.  That is a char-poly block
-    (kernels._char_poly_width) for the sign scan of the matrix families, a
-    Routh or Jury scan block (kernels._scan_width) for that of the equation
-    families, and a (rows, n, n) stack (kernels._eigen_width) for both
-    eigenvalue routes, the equation families' companion stacks included.
+    and the Monte Carlo layer draws blocks of this width, capped there at
+    its CHUNK.  That is a char-poly block (kernels._char_poly_width) for
+    the sign scan of the matrix families, a Routh or Jury scan block
+    (kernels._scan_width) for that of the equation families, and a
+    (rows, n, n) stack (kernels._eigen_width) for both eigenvalue routes,
+    the equation families' companion stacks included.
     """
-    how = resolve_method(family, method)
-    if how == "eigen":
-        rows = kernels._eigen_width(family.n)
-    elif family.kind in ("cont-sys", "disc-sys"):
-        rows = kernels._char_poly_width(family.n)
-    else:
-        rows = kernels._scan_width(family.n)
-    return min(cap, rows)
+    if resolve_method(family, method) == "eigen":
+        return kernels._eigen_width(family.n)
+    if family.kind in ("cont-sys", "disc-sys"):
+        return kernels._char_poly_width(family.n)
+    return kernels._scan_width(family.n)
 
 
 def batch_indices(
@@ -274,10 +273,10 @@ def batch_indices(
     Only this function knows the row layout: cont-sys is A row-major;
     disc-sys is (b, A row-major), counted within radius |b|; the equation
     families are coefficients highest degree first.  It is the one place
-    that cuts rows into kernel blocks: blocks of block_rows(family, route,
-    count) rows, each unpacked into what its family's routes take
-    (ascending coefficient columns, a (count, n, n) matrix stack, or that
-    stack and the radii |b|) and classified in one scope of ``workspace``,
+    that cuts rows into kernel blocks: blocks of block_rows(family, route)
+    rows (the last one shorter), each unpacked into what its family's
+    routes take (ascending coefficient columns, a (count, n, n) matrix
+    stack, or that stack and the radii |b|) and classified in one scope of ``workspace``,
     a kernels.Workspace (the Monte Carlo layer passes each shard's), or of
     one that kernels.lend lends when it is None.  Under "auto" every row
     takes the sign scan, and the rows it leaves indeterminate take the
@@ -321,7 +320,7 @@ def batch_indices(
     def classify(rows, route):
         """The codes of ``rows`` on ``route``, one block at a time."""
         out = np.empty(rows.shape[0], dtype=np.int64)
-        step = block_rows(family, route, max(1, rows.shape[0]))
+        step = block_rows(family, route)
         for start in range(0, rows.shape[0], step):
             part = slice(start, start + step)
             with ws:

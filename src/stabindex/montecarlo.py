@@ -4,16 +4,17 @@ Each shard owns the substream ``SeedSequence(seed, spawn_key=(shard,))`` and
 draws its samples in blocks through one loop, so the histogram depends only
 on (seed, shards, config), never on worker count, execution order or block
 size, and a shorter run is a prefix of a longer one.  A block holds as many
-rows as its route classifies at once (models.block_rows, at most CHUNK), so
-each block is drawn and classified whole, and a convergence grid point that
-falls inside a block is counted from that block's leading codes.
+rows as its route classifies at once (models.block_rows, capped here at
+CHUNK), so each block is drawn and classified whole, and a convergence grid
+point that falls inside a block is counted from that block's leading codes.
 
-A shard draws each block into a workspace that kernels.lend lends it for
-the whole pass, and batch_indices classifies the block on the same
-workspace.  Workspaces outlive the shards and threads that use them, so
-warm blocks map no fresh pages, and no two running shards share one.  Each
-maps one fixed slab, of which a block makes resident only the pages it
-touches: a 3,000-row job's block touches a fraction of a budget.
+A pass takes one draw buffer from a workspace that kernels.lend lends it
+for the whole pass, draws each block into the head of that buffer, and
+batch_indices classifies the block on the same workspace.  Workspaces
+outlive the shards and threads that use them, so warm blocks map no fresh
+pages, and no two running shards share one.  Each maps one fixed slab, of
+which a block makes resident only the pages it touches: a 3,000-row job's
+block touches a fraction of a budget.
 """
 
 import math
@@ -30,10 +31,10 @@ from .models import validate_integer, validate_tol
 # Fixed documented default so that command-line examples reproduce exactly.
 DEFAULT_SEED = 20231
 
-# The most rows a shard draws and classifies at once (models.block_rows
-# picks fewer where a route's working set would outgrow its byte budget);
-# does not affect results (normal variates are consumed row-major across
-# block boundaries).
+# The most rows a shard draws and classifies at once, the cap on
+# models.block_rows (which picks fewer where a route's working set would
+# outgrow its byte budget); does not affect results (normal variates are
+# consumed row-major across block boundaries).
 CHUNK = 16384
 
 # A larger indeterminate share than this signals a tolerance misconfiguration
@@ -138,18 +139,21 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     """Yield one shard's histogram after its first ``size`` samples for each
     size in the ascending ``sizes``, in one pass over max(sizes) samples.
 
-    The pass draws blocks of models.block_rows rows (the last one shorter)
-    into a workspace that kernels.lend lends it until it ends, and
-    classifies each block whole on the same workspace.  A block's codes are
-    counted with one shifted bincount, and a size inside the block from the
-    block's leading codes, so grid points never split a block.  Normal
-    variates are drawn row-major whatever the block split, and a row's code
-    depends only on that row, so each histogram is bit-identical to a
-    separate run of that size.  Passes may interleave on one thread: each
+    The pass draws blocks of models.block_rows rows, capped here at CHUNK
+    (the last one shorter), on a workspace that kernels.lend lends it until
+    it ends.  When it starts it takes one draw buffer of as many rows as
+    its widest block from that workspace, draws each block into the head
+    of that buffer, and classifies the block whole on the same workspace,
+    above the buffer.  A block's codes are counted with one shifted
+    bincount, and a size inside the block from the block's leading codes,
+    so grid points never split a block.  Normal variates are drawn
+    row-major whatever the block split, and a row's code depends only on
+    that row, so each histogram is bit-identical to a separate run of that
+    size.  Passes may interleave on one thread: each
     holds its own workspace.
     """
     family = cfg.family
-    rows = block_rows(family, cfg.method, CHUNK)
+    rows = min(CHUNK, block_rows(family, cfg.method))
     rng = shard_stream(cfg.seed, shard)
     shift = -ZERO_LEADING  # indeterminate codes land in bins 0..shift-1
     width = family.n + 1 + shift
@@ -158,23 +162,23 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
     pending = iter(sizes)
     size = next(pending, None)
     with lend() as ws:
+        drawn = ws.take((min(rows, sizes[-1]), family.param_count))
         while size is not None:
             take = min(rows, sizes[-1] - done)
-            with ws:
-                params = ws.take((take, family.param_count))
-                rng.standard_normal(out=params)
-                codes = batch_indices(family, params, cfg.method, cfg.tol, ws)
-                codes += shift
-                tally = np.bincount(codes, minlength=width)
-                while size is not None and size <= done + take:
-                    head = tally if size == done + take else np.bincount(
-                        codes[: size - done], minlength=width
-                    )
-                    seen = total + head
-                    indet = int(seen[:shift].sum())
-                    yield IndexHistogram(family, seen[shift:], indet, size, cfg.seed)
-                    size = next(pending, None)
-            del params, codes  # a draw block the slab could not hold is freed here
+            params = drawn[:take]
+            rng.standard_normal(out=params)
+            codes = batch_indices(family, params, cfg.method, cfg.tol, ws)
+            codes += shift
+            tally = np.bincount(codes, minlength=width)
+            while size is not None and size <= done + take:
+                head = tally if size == done + take else np.bincount(
+                    codes[: size - done], minlength=width
+                )
+                seen = total + head
+                indet = int(seen[:shift].sum())
+                yield IndexHistogram(family, seen[shift:], indet, size, cfg.seed)
+                size = next(pending, None)
+            del codes  # freed before the next block's codes are made
             total += tally
             done += take
 

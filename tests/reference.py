@@ -1,6 +1,6 @@
 """The scalar reference for the batch kernels' char-poly, Moebius, Jury
-and companion constructions, and an exact referee for the equation
-families' root counts.
+and companion constructions, and an exact referee for the root counts of
+all four families.
 
 Plain Python over one polynomial or matrix: their sums and matrix products
 are explicit loops, written in the floating-point order the batch kernels
@@ -8,13 +8,13 @@ replay column by column, so tests/test_kernels.py compares the two bit for
 bit.  They live beside the tests because nothing in the package calls them.
 The referee counts in exact rational arithmetic instead: every float64 is
 a dyadic rational, so Fraction(x) is exact, and the count it gives is the
-drawn polynomial's own, independent of both float routes.
+drawn polynomial's or matrix's own, independent of both float routes.
 HighWaterWorkspace measures how much of a workspace the blocks use.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, sqrt
+from math import copysign, isqrt, sqrt
 
 import numpy as np
 
@@ -115,14 +115,48 @@ def exact_mobius(coeffs):
     return star
 
 
-def exact_index(kind, coeffs):
-    """The exact stability index of one equation-family polynomial of
-    ascending coefficients: its roots with Re < 0 for cont-eq, with
-    |x| < 1 for disc-eq (the Moebius image's roots with Re < 0), or None
-    where exact_routh_count stops, a zero leading coefficient of the input
-    included."""
-    if kind == "cont-eq":
-        return exact_routh_count(coeffs)
+def berkowitz(a):
+    """det(xI - a) of a square matrix of Python integers, ascending, by
+    Berkowitz's division-free recurrence: with a's leading k x k block A,
+    the rest of its row k R and column k C, p_{k+1} is the Toeplitz
+    matrix of (1, -a[k][k], -R C, -R A C, ..., -R A^(k-1) C) times p_k."""
+    poly = [1]  # descending
+    for k in range(len(a)):
+        col = [a[i][k] for i in range(k)]
+        t = [1, -a[k][k]]
+        for _ in range(k):
+            t.append(-sum(a[k][j] * col[j] for j in range(k)))
+            col = [sum(a[i][j] * col[j] for j in range(k)) for i in range(k)]
+        poly = [sum(t[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return poly[::-1]
+
+
+def exact_index(kind, row):
+    """The exact stability index of one drawn row, laid out as
+    models.batch_indices reads it, or None where exact_routh_count stops.
+
+    Equation families: the roots with Re < 0 of the coefficients (highest
+    degree first), for disc-eq those with |x| < 1 (the Moebius image's
+    roots with Re < 0).  Matrix families: the row is scaled by the least
+    power of two D that makes every entry an integer, which scales the
+    eigenvalues and the radius |b| alike.  cont-sys counts the roots of
+    det(xI - DA) (berkowitz) with Re < 0; disc-sys counts the roots with
+    |y| < 1 of q(y) = det(r y I - DA), r = D|b|, whose coefficient k is
+    r^k times that of det(xI - DA), and gives None at b = 0."""
+    if kind in ("cont-eq", "disc-eq"):
+        coeffs = list(row[::-1])
+        if kind == "cont-eq":
+            return exact_routh_count(coeffs)
+    else:
+        scale = max(Fraction(x).denominator for x in row)
+        entries = [int(Fraction(x) * scale) for x in row]
+        n = isqrt(len(row))
+        a = [entries[-n * n :][i * n : (i + 1) * n] for i in range(n)]
+        poly = berkowitz(a)
+        if kind == "cont-sys":
+            return exact_routh_count(poly)
+        r = abs(entries[0])
+        coeffs = [c * r**k for k, c in enumerate(poly)]
     if coeffs[-1] == 0:
         return None
     return exact_routh_count(exact_mobius(coeffs))

@@ -186,6 +186,25 @@ class TestConvergence:
         )
         assert code == 1 and "no exact value" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--k", "3", "k must be in 0..2"), ("--k", "-1", "k must be in 0..2"),
+         ("--grid", "100,0", "positive sample sizes"), ("--grid", "-5", "positive sample sizes")],
+    )
+    def test_out_of_range_k_or_grid_is_usage_error(self, capsys, flag, value, message):
+        options = {"--k": "2", "--grid": "100,1000", flag: value}
+        argv = [part for option in options.items() for part in option]
+        code, out, err = run_cli(capsys, "convergence", "--family", "disc-eq", "--n", "2", *argv)
+        assert code == 1 and out == "" and message in err
+
+    def test_table_without_slope_says_so(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "convergence", "--family", "cont-eq", "--n", "3", "--k", "0", "--grid", "100,100",
+        )
+        assert code == 0
+        assert out.endswith("slope: undefined (nonzero errors at fewer than two sample sizes)\n")
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -331,7 +331,9 @@ def test_zero_radius_pencils_need_a_regular_matrix():
     """b = 0 leaves the pencil 0 x - A.  With a singular A it is singular
     and has no count, although La Budde's recurrence leaves det A as a
     rounding residue, not an exact 0; with a regular A no eigenvalue lies
-    inside radius 0.  Integer A in {-2..2} give both kinds."""
+    inside radius 0.  Integer A in {-2..2} give both kinds.  In blocks
+    where only every other b is 0, the rows with a small nonzero b keep
+    the codes the scalar reference gives them, singular A included."""
     seen = set()
     for n in DEGREES["disc-sys"]:
         params = _draws("disc-sys", n, INTEGER_ROWS, integer=True)
@@ -342,6 +344,14 @@ def test_zero_radius_pencils_need_a_regular_matrix():
         expected = np.where(singular, ZERO_LEADING, 0)
         np.testing.assert_array_equal(codes, expected, err_msg=f"n={n}")
         seen.update(singular.tolist())
+        # small radii, 2^-20 |z|: a singular det A's rounding residue is ~0
+        # beside the unscaled coefficients but not beside the r^k-scaled
+        # ones, so these rows show whether the zero-radius rule stays at b = 0
+        radii = _draws("disc-sys", n, INTEGER_ROWS // 2, integer=False)[:, 0]
+        params[1::2, 0] = 2.0**-20 * radii
+        mixed = _batch_codes("disc-sys", n, params)
+        np.testing.assert_array_equal(mixed, _scalar_codes("disc-sys", n, params))
+        np.testing.assert_array_equal(mixed[::2], expected[::2], err_msg=f"mixed n={n}")
     assert seen == {False, True}
 
 
@@ -384,13 +394,12 @@ def test_char_poly_width_bounds_the_block_peak():
 def test_companion_block_peak_is_an_eigen_block_peak():
     """One cont-eq n = 6 companion_region_codes block of _eigen_width(6)
     rows, on a warm lent workspace, allocates at its peak no more than one
-    cont-sys n = 6 eig_halfplane_codes block of as many rows: its stack is
-    built on the slab, and only the compress copy of its columns comes from
-    the heap, freed before eigvals runs.  The allowance is the Python
-    objects of the three slab arrays the companion block holds across
-    eigvals (its flags, stack and codes), which tracemalloc counts too.
-    When the stack was built from heap temporaries, the companion block
-    read 3.3 MB against 2.5 MB."""
+    cont-sys n = 6 eig_halfplane_codes block of as many rows: its flags and
+    stack are built on the slab for every column, so eigvals' output sets
+    the peak.  The allowance is the Python objects of the three slab arrays
+    the companion block holds across eigvals (its flags, their negation and
+    the stack), which tracemalloc counts too.  When the stack was built
+    from heap temporaries, the companion block read 3.3 MB against 2.5 MB."""
     n = 6
     rows = kernels._eigen_width(n)
     coeffs = _draws("cont-eq", n, rows, integer=False).T[::-1]
@@ -409,6 +418,33 @@ def test_companion_block_peak_is_an_eigen_block_peak():
         eigen()
         peak, reference_peak = _traced_peak(companion), _traced_peak(eigen)
     assert peak <= reference_peak + 1024, (peak, reference_peak)
+
+
+@pytest.mark.parametrize("kind", ["cont-eq", "disc-eq"])
+def test_companion_route_overwrites_flagged_columns(kind):
+    """The companion route classifies whole blocks in which integer rows
+    in {-2..2} with c[n] = 0 are mixed among normal rows: each code is
+    ZERO_LEADING where _small_leads flags its column, and otherwise the
+    per-sample eigen_region_count of its companion_matrix."""
+    region = "left-half-plane" if kind == "cont-eq" else "disk"
+    for n in DEGREES[kind]:
+        params = _draws(kind, n, 3 * INTEGER_ROWS, integer=False)
+        flat = _draws(kind, n, INTEGER_ROWS, integer=True)
+        flat[:, 0] = 0.0  # rows run highest degree first
+        params[::3] = flat
+        codes = models.batch_indices(ModelFamily(kind, n), params, "eigen", TOL)
+        coeffs = params.T[::-1]
+        with kernels.lend() as ws:
+            flagged = kernels._small_leads(coeffs, TOL, ws).copy()
+        assert flagged[::3].all() and not flagged[1::3].any(), f"n={n}"
+        zero_leading = models.RootCount.from_code(ZERO_LEADING)
+        expected = [
+            zero_leading if small
+            else models.eigen_region_count(models.companion_matrix(c, TOL), region, tol=TOL)
+            for c, small in zip(coeffs.T, flagged)
+        ]
+        got = [models.RootCount.from_code(code) for code in codes]
+        assert got == expected, f"n={n}"
 
 
 @pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
@@ -503,7 +539,7 @@ def test_scan_working_set_is_blocked(kind):
     is traced at n = 4 alone.)"""
     for n in (4, 40):
         family = ModelFamily(kind, n)
-        rows = models.block_rows(family, "rh", CHUNK)
+        rows = min(CHUNK, models.block_rows(family, "rh"))
         ws = HighWaterWorkspace()
         params = ws.take((rows, family.param_count))
         params[...] = _draws(kind, n, rows, integer=False)

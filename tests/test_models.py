@@ -125,6 +125,8 @@ class TestForcedSamples:
     def test_param_length_checked(self):
         with pytest.raises(ValueError):
             index_from_params(ModelFamily("cont-eq", 2), [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D parameter vector"):
+            index_from_params(ModelFamily("cont-eq", 2), np.ones((1, 3)))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
     def test_bad_tol_rejected(self, tol):
@@ -317,20 +319,22 @@ class TestAutoFallback:
 
 
 class TestExactReferee:
-    """The equation families' codes against the exact count of each drawn
-    polynomial (tests/reference.py), a route that shares no float with the
-    sign scan or the companion eigenvalues.  Normal draws never sit on a
-    region boundary, so the referee counts every row."""
+    """Every family's codes against the exact count of each drawn row
+    (tests/reference.py), a route that shares no float with the sign scan
+    or the eigenvalue routes.  Normal draws never sit on a region boundary,
+    so the referee counts every row."""
 
     @staticmethod
     def _exact(kind, params):
-        exact = [exact_index(kind, row[::-1].tolist()) for row in params]
+        exact = [exact_index(kind, row) for row in params.tolist()]
         assert None not in exact
         return np.array(exact)
 
     @pytest.mark.parametrize(
         "kind, n, rows",
-        [("cont-eq", 12, 300), ("cont-eq", 40, 30), ("disc-eq", 12, 100), ("disc-eq", 30, 10)],
+        [("cont-eq", 12, 300), ("cont-eq", 40, 30), ("disc-eq", 12, 100), ("disc-eq", 30, 10),
+         ("cont-sys", 6, 200), ("cont-sys", 12, 50), ("cont-sys", 24, 8),
+         ("disc-sys", 6, 200), ("disc-sys", 12, 40), ("disc-sys", 24, 2)],
     )
     def test_auto_and_certified_scan_codes_are_exact(self, kind, n, rows):
         fam = ModelFamily(kind, n)
@@ -350,3 +354,12 @@ class TestExactReferee:
         assert left.size > 0
         auto = batch_indices(fam, params[left], "auto")
         assert np.array_equal(auto, self._exact("disc-eq", params[left]))
+
+    def test_matrix_fallback_codes_are_exact(self):
+        """Up to 8 of the cont-sys n = 24 rows the char-poly scan leaves
+        indeterminate, which "auto" settles by the matrices' eigenvalues."""
+        fam, params = _cont_sys_24()
+        left = np.flatnonzero(batch_indices(fam, params, "rh") < 0)[:8]
+        assert left.size > 0
+        auto = batch_indices(fam, params[left], "auto")
+        assert np.array_equal(auto, self._exact("cont-sys", params[left]))

@@ -59,6 +59,24 @@ class TestHistogram:
         with pytest.raises(ValueError):
             IndexHistogram(ModelFamily("cont-eq", 1), [3, 3], 0, 10, 0)
 
+    @pytest.mark.parametrize(
+        "counts, indeterminate, message",
+        [([3, 3, 4], 0, "length n \\+ 1"), ([-1, 11], 0, "negative"), ([5, 6], -1, "negative")],
+    )
+    def test_rejects_malformed_counts(self, counts, indeterminate, message):
+        with pytest.raises(ValueError, match=message):
+            IndexHistogram(ModelFamily("cont-eq", 1), counts, indeterminate, 10, 0)
+
+    @pytest.mark.parametrize(
+        "values, stderr, source, message",
+        [([0.5, 0.5], [0.1], "raw", "equal length"),
+         ([[0.5, 0.5]], [[0.1, 0.1]], "raw", "1-D"),
+         ([0.5, 0.5], [0.1, 0.1], "smoothed", "unknown source")],
+    )
+    def test_probability_vector_rejects_bad_shape_or_source(self, values, stderr, source, message):
+        with pytest.raises(ValueError, match=message):
+            ProbabilityVector(values, stderr, source)
+
     def test_probability_vector_mass_check(self):
         with pytest.raises(ValueError):
             ProbabilityVector([0.5, 0.6], [0.0, 0.0], "raw")
@@ -407,6 +425,11 @@ class TestConvergence:
     @pytest.mark.parametrize("k", [1.5, True, 2.0, "2", None])
     def test_non_integer_k_is_rejected(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
+            convergence_study(ModelFamily("disc-eq", 2), k, DISC_EQ_2_P2, [100], seed=20231)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_out_of_range_k_is_rejected(self, k):
+        with pytest.raises(ValueError, match="index k out of range"):
             convergence_study(ModelFamily("disc-eq", 2), k, DISC_EQ_2_P2, [100], seed=20231)
 
     @pytest.mark.parametrize("entry", [100.7, 100.0, True, "100", None])

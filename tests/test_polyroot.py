@@ -299,6 +299,10 @@ class TestRootCount:
         assert RootCount.from_code(-2).reason == "boundary-root"
         assert RootCount.from_code(-3).reason == "zero-leading-coefficient"
 
+    def test_str(self):
+        assert str(routh_hurwitz_count([4.0, 3.0, 2.0, 1.0])) == "Count(3)"
+        assert str(RootCount.from_code(-2)) == "Indeterminate(boundary-root)"
+
 
 class TestToleranceValidation:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-12])
@@ -317,7 +321,7 @@ class TestNonFiniteInput:
     """NaN or inf anywhere in a coefficient vector or matrix is a ValueError,
     as it is for batch_indices; unchecked, the counts called such input
     indeterminate, the constructors returned NaN arrays and the eigenvalue
-    route raised LinAlgError."""
+    route raised LinAlgError.  An empty coefficient vector is one too."""
 
     ENTRY_POINTS = {
         "routh_hurwitz_count": (routh_hurwitz_count, [1.0, 2.0, 1.0]),
@@ -338,3 +342,10 @@ class TestNonFiniteInput:
             arg[index] = bad
             with pytest.raises(ValueError, match="must be finite"):
                 func(arg)
+
+    @pytest.mark.parametrize(
+        "name", ["companion_matrix", "jury_count", "mobius_star", "routh_hurwitz_count"]
+    )
+    def test_empty_coefficient_array_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            self.ENTRY_POINTS[name][0]([])
