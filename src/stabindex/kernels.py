@@ -11,7 +11,8 @@ samples at once, column by column, and the per-sample API in models calls
 them on one column.  Their sums run in a fixed order, and that
 floating-point order fixes every histogram bit for bit; the tests check it
 against a scalar Python reference.  The one scalar recurrence here is
-routh_scan, which the batch Routh scan hands its ~0-pivot columns.
+routh_scan, on lists of Python floats, which the batch Routh scan hands its
+~0-pivot columns.
 The characteristic polynomial takes O(n^3) flops: Householder reduction to
 Hessenberg form, then La Budde's recurrence.
 """
@@ -30,27 +31,13 @@ ZERO_LEADING = -3
 
 def _scale(c, m):
     """max |c[j]| over j < m, from 0.0; NaN entries never win the comparison."""
-    scale = 0.0
-    for j in range(m):
-        v = abs(c[j])
-        if v > scale:
-            scale = v
-    return scale
+    return max([0.0, *map(abs, c[:m])])
 
 
-def _sign_variations(vals, length, eps):
-    """Sign changes along vals[:length], skipping entries with |v| <= eps."""
-    count = 0
-    last = 0
-    for i in range(length):
-        v = vals[i]
-        if abs(v) <= eps:
-            continue
-        s = 1 if v > 0.0 else -1
-        if last != 0 and s != last:
-            count += 1
-        last = s
-    return count
+def _sign_variations(vals, eps):
+    """Sign changes along vals, skipping entries with |v| <= eps (not NaN)."""
+    signs = [v > 0.0 for v in vals if not abs(v) <= eps]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def has_nonneg_real_root(d):
@@ -59,64 +46,44 @@ def has_nonneg_real_root(d):
     Sturm-chain sign variations at 0 and +inf.  Only ever called on the tiny
     auxiliary polynomials arising from all-zero rows in the Routh scheme;
     degenerate chains (shared factors, repeated roots) report True, which the
-    caller treats as a boundary case.
+    caller treats as a boundary case.  The chain's polynomials are lists of
+    floats, ascending, that lose their top entry as their degree drops.
     """
-    m = d.shape[0]
-    scale = _scale(d, m)
+    a = list(map(float, d))
+    scale = _scale(a, len(a))
     if scale == 0.0:
         return True
     eps = 1e-12 * scale
-    deg = m - 1
-    while deg > 0 and abs(d[deg]) <= eps:
-        deg -= 1
-    if deg == 0:
-        return abs(d[0]) <= eps
-    if abs(d[0]) <= eps:
+    while len(a) > 1 and abs(a[-1]) <= eps:
+        a.pop()
+    if len(a) == 1:
+        return abs(a[0]) <= eps
+    if abs(a[0]) <= eps:
         return True  # root at s = 0
 
-    a = np.zeros(deg + 1)
-    b = np.zeros(deg + 1)
-    for j in range(deg + 1):
-        a[j] = d[j]
-    da = deg
-    for j in range(deg):
-        b[j] = (j + 1) * d[j + 1]
-    db = deg - 1
-
-    vals0 = np.zeros(deg + 2)
-    leads = np.zeros(deg + 2)
-    vals0[0] = a[0]
-    leads[0] = a[da]
-    length = 1
+    b = [j * v for j, v in enumerate(a[1:], 1)]
+    vals0 = [a[0]]
+    leads = [a[-1]]
     while True:
-        vals0[length] = b[0]
-        leads[length] = b[db]
-        length += 1
-        if db == 0:
+        vals0.append(b[0])
+        leads.append(b[-1])
+        if len(b) == 1:
             break
         # a <- remainder of a by b, then negate (next chain element)
-        for k in range(da, db - 1, -1):
-            q = a[k] / b[db]
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop() / b[-1]
             if q != 0.0:
-                shift = k - db
-                for j in range(db):
-                    a[shift + j] -= q * b[j]
-            a[k] = 0.0
-        ra = db - 1
-        rscale = _scale(a, ra + 1)
-        if rscale == 0.0 or rscale <= eps:
+                shift = len(a) - db
+                a[shift:] = [x - q * y for x, y in zip(a[shift:], b)]
+        rscale = _scale(a, db)
+        if rscale <= eps:  # eps >= 0, so this includes rscale == 0.0
             return True  # nontrivial gcd: treat as boundary-suspicious
-        while ra > 0 and abs(a[ra]) <= 1e-12 * rscale:
-            ra -= 1
-        for j in range(ra + 1):
-            a[j] = -a[j]
-        tmp = a
-        a = b
-        b = tmp
-        da = db
-        db = ra
+        while len(a) > 1 and abs(a[-1]) <= 1e-12 * rscale:
+            a.pop()
+        a, b = b, [-v for v in a]
 
-    return _sign_variations(vals0, length, eps) - _sign_variations(leads, length, eps) > 0
+    return _sign_variations(vals0, eps) - _sign_variations(leads, eps) > 0
 
 
 def routh_scan(coeffs, tol):
@@ -128,70 +95,48 @@ def routh_scan(coeffs, tol):
     signals an even divisor with roots in +/- pairs; it is repaired exactly
     with the divisor's derivative once the divisor is certified free of
     imaginary-axis roots.  An isolated ~0 pivot cannot be resolved without
-    perturbing the array, so it is reported as ZERO_PIVOT.
+    perturbing the array, so it is reported as ZERO_PIVOT.  The rows are
+    lists of n // 2 + 1 floats, zero-padded at the end.
     """
-    n = coeffs.shape[0] - 1
-    scale = _scale(coeffs, n + 1)
+    c = coeffs.tolist()
+    n = len(c) - 1
+    scale = _scale(c, n + 1)
     if scale == 0.0:
         return ZERO_LEADING
     thr = tol * scale
-    if abs(coeffs[n]) <= thr:
+    if abs(c[n]) <= thr:
         return ZERO_LEADING
     if n == 0:
         return 0
 
-    w = n // 2 + 1
-    prev = np.zeros(w)
-    cur = np.zeros(w)
-    for j in range(w):
-        prev[j] = coeffs[n - 2 * j]
-    for j in range(w):
-        idx = n - 1 - 2 * j
-        if idx >= 0:
-            cur[j] = coeffs[idx]
-
+    prev = c[::-2]
+    cur = c[-2::-2]
+    cur += [0.0] * (len(prev) - len(cur))
     changes = 0
-    last = 1 if prev[0] > 0.0 else -1
-    deg = n - 1  # degree labelling the `cur` row
-    while True:
-        allzero = True
-        for j in range(w):
-            if abs(cur[j]) > thr:
-                allzero = False
-                break
-        if allzero:
+    last = prev[0] > 0.0
+    for deg in range(n - 1, -1, -1):  # cur holds the row of degree deg
+        if not any(abs(v) > thr for v in cur):  # a NaN entry counts as zero
             m = deg + 1  # degree of the even divisor held in `prev`
             if m % 2 == 1:
                 return BOUNDARY_ROOT  # divisor vanishes at 0
-            half = m // 2
-            d = np.zeros(half + 1)
-            for j in range(half + 1):
-                # divisor sum_j prev[j] x^(m-2j); its imaginary-axis roots
-                # correspond to roots s >= 0 of sum_j (-1)^j prev[j] s^(half-j)
-                if j % 2 == 0:
-                    d[half - j] = prev[j]
-                else:
-                    d[half - j] = -prev[j]
-            if has_nonneg_real_root(d):
+            # divisor sum_j prev[j] x^(m-2j); its imaginary-axis roots
+            # correspond to roots s >= 0 of sum_j (-1)^j prev[j] s^(m/2-j)
+            d = [-v if j % 2 else v for j, v in enumerate(prev[: m // 2 + 1])]
+            if has_nonneg_real_root(d[::-1]):
                 return BOUNDARY_ROOT
-            for j in range(w):
-                cur[j] = (m - 2 * j) * prev[j]
-        if abs(cur[0]) <= thr:
+            cur = [(m - 2 * j) * v for j, v in enumerate(prev)]
+        piv = cur[0]
+        if abs(piv) <= thr:
             return ZERO_PIVOT
-        s = 1 if cur[0] > 0.0 else -1
+        s = piv > 0.0
         if s != last:
             changes += 1
         last = s
         if deg == 0:
             break
-        nxt = np.zeros(w)
-        piv = cur[0]
         top = prev[0]
-        for j in range(w - 1):
-            nxt[j] = (piv * prev[j + 1] - top * cur[j + 1]) / piv
-        prev = cur
-        cur = nxt
-        deg -= 1
+        prev, cur = cur, [(piv * p - top * q) / piv for p, q in zip(prev[1:], cur[1:])]
+        cur.append(0.0)
     return n - changes
 
 

@@ -51,6 +51,13 @@ def _too_few(name: str, samples: int, bound: str, floor: int) -> CheckResult:
     )
 
 
+def _require_samples(samples: int) -> None:
+    """Reject a sample count under 1 as EstimationConfig does, before a
+    bound divides by it."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def _power_floor(bad_rate: float) -> int:
     """Fewest trials at which a check that fails on a single bad trial
     catches a true rate of bad_rate with probability >= 95%, that is the
@@ -198,6 +205,7 @@ def check_orthant_determinant(samples: int, seed: int = DEFAULT_SEED) -> CheckRe
     normals, checked by direct Monte Carlo within 4 sigma.  Skipped unless
     the bound is below 1/32 itself (497 samples or more): an estimate of 0
     would pass otherwise."""
+    _require_samples(samples)
     name = "orthant determinant probability 1/32"
     target = 1.0 / 32.0
     bound = 4.0 * math.sqrt(target * (1 - target) / samples)
@@ -225,6 +233,7 @@ def check_mean_index(
     _MEAN_POWER_SHARE of n/2 whatever the histogram: an index in 0..n has
     var <= n^2/4, so the bound is at most 2n/sqrt(N), and that is under a
     quarter of n/2 from 257 samples on."""
+    _require_samples(samples)
     name = "mean index n/2 (symmetric families)"
     widest = 4.0 / math.sqrt(samples)  # 2n/sqrt(N) as a share of n/2
     if widest >= _MEAN_POWER_SHARE:
@@ -289,6 +298,7 @@ def check_indeterminate_fraction(
     budget would abort 95% of the time at each family and order:
     _power_floor(1e-2) = 299 samples, where one indeterminate sample is
     already over budget."""
+    _require_samples(samples)
     name = "indeterminate fraction budget"
     bad_rate = 10 * MAX_INDETERMINATE_FRACTION
     floor = _power_floor(bad_rate)
@@ -319,6 +329,7 @@ def run_all(
     samples: int, oracle_polys: int, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
 ) -> list:
     """Run every check; statistical bounds adapt to the sample count."""
+    _require_samples(samples)
     return [
         *(check_oracle(kind, oracle_polys, seed=seed, tol=tol) for kind in _ORACLE_CASES),
         check_constraint_closure(),

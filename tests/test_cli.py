@@ -303,6 +303,20 @@ class TestVerify:
         assert verify.check_indeterminate_fraction(298).skipped
         assert verify.check_indeterminate_fraction(299).passed
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize(
+        "check",
+        [verify.check_orthant_determinant, verify.check_mean_index,
+         verify.check_indeterminate_fraction,
+         lambda samples: verify.run_all(samples=samples, oracle_polys=1)],
+        ids=["orthant", "mean-index", "indeterminate", "run-all"],
+    )
+    def test_bad_sample_count_is_value_error(self, check, samples):
+        """A sample count under 1 is EstimationConfig's ValueError, not a
+        ZeroDivisionError from a bound."""
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            check(samples)
+
     def test_checks_draw_from_distinct_streams(self):
         """No two of the oracle and orthant checks share a substream, whose
         first draws they would then repeat."""

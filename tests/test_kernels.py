@@ -613,6 +613,146 @@ def test_has_nonneg_real_root_degenerate_is_true(d):
     assert kernels.has_nonneg_real_root(np.array(d))
 
 
+# The scalar exit's codes on non-finite and degenerate rows, recorded from
+# the numpy-array implementation of routh_scan and has_nonneg_real_root
+# that the list-of-floats one replaced: rows at n = 2..12 holding NaN,
+# +-inf, +-0.0, +-1e300, 1e-300 or 5e-13, and integer rows whose Routh
+# array meets an all-zero row.  Both functions compare with NaN in one
+# fixed way: a row is all-zero when no |x| > thr, so a NaN entry counts as
+# zero there, while a NaN sign is kept (only |v| <= eps is skipped).
+# (tol, ascending coefficients, routh_scan's code)
+SCALAR_EXIT_CODES = [
+    (1e-14, "0 -inf -inf", -3),
+    (1e-14, "0.0 0.0 -2", -2),
+    (1e-14, "1 0 -2", 1),
+    (1e-14, "-1 -2 1 2", 2),
+    (1e-14, "-2 2 2 -2", 1),
+    (1e-14, "2 1 -2 -1", 2),
+    (1e-14, "-2.25 -1 1e300 1e300 -2", -3),
+    (1e-14, "2 -2 0 0 1 -1", -1),
+    (1e-14, "nan 2 -2 0 0 nan", -1),
+    (1e-14, "-0.25 1.5 -0.0 -0.0 1.5 1.25 0.75", 3),
+    (1e-14, "-2 -1e300 -2 -1e300 0 -2 -2", -3),
+    (1e-14, "-1.5 -1.5 -2 2.25 -0.75 0.0 1.75 -1", 3),
+    (1e-14, "-2 1 -1 -2 2 -1 2 nan", 3),
+    (1e-14, "0 0 1 -1 2 0 -2 1", -2),
+    (1e-14, "1 -1 1 -2 0 -1 1 -2 -1", -1),
+    (1e-14, "5e-13 1.5 -0.75 -0.75 -2 1 -1 1.75 -0.25", 5),
+    (1e-14, "nan 1.5 -2.25 1 0 nan 0 -1 0.5", -2),
+    (1e-14, "-0.5 -0.5 -2 0.25 -1 nan -1.5 nan 2 -0.5", -2),
+    (1e-14, "-1 -2 -2 1e-300 -1 0 -1 -1 1e-300 -1", -1),
+    (1e-14, "-1 1 2 -2 1 -1 -2 2 -2 2", 4),
+    (1e-14, "-2 -1 -2 -2 1 2 1 2 2 -1", 3),
+    (1e-14, "2 nan -1 1 nan 1 2 -2 2 1", -2),
+    (1e-14, "-1 1 -2 -2 -0.0 1 0 1 -1 1 -1", -1),
+    (1e-14, "0 0 1 -1 0 -2 2 -1 -2 -2 2", -2),
+    (1e-14, "1 0 5e-13 0 1 2 2 -2 2 0 5e-13", -1),
+    (1e-14, "-1 2 -1.25 0 -2.25 -1 -0.5 1e-300 0.75 1e-300 -1.75 0.75", 4),
+    (1e-14, "1 2 -1 -2 0 1 0 -2 1 -1 -1 2", 5),
+    (1e-14, "inf -1 0 -1 -1 2 -2 -2 -2 2 1 2", -3),
+    (1e-12, "nan -1 0", -3),
+    (1e-12, "-1 nan 1 2", 2),
+    (1e-12, "0 0 2 1", -2),
+    (1e-12, "-0.75 -2.25 1e-300 1 -0.75", 2),
+    (1e-12, "1e-300 2 -2 -1 1e-300", -3),
+    (1e-12, "5e-13 5e-13 -1 -1 -1", -2),
+    (1e-12, "-1 -1 -1 0 2 1", 4),
+    (1e-12, "-1 5e-13 -2 2 2 2", 4),
+    (1e-12, "-1.75 1.5 1.75 0.5 0.75 -0.0 -0.25", -1),
+    (1e-12, "-2 0 0 0 -2 0 1", 3),
+    (1e-12, "1 0 2 0 0 0 -2", -1),
+    (1e-12, "-0.5 0.75 -2 -1.5 1 -1e300 -1e300 -0.5", -3),
+    (1e-12, "-1.5 -1.75 0.75 -0.75 0.25 0.75 -0.5 1.75 1", 5),
+    (1e-12, "2 -1 0 0 -2 -1 -2 2 2", 4),
+    (1e-12, "-1.5 -0.5 nan -2.25 -2 1.25 2 nan -2 -1.75", -2),
+    (1e-12, "-2 2 -0.0 2 -2 2 1 0 1 2", 4),
+    (1e-12, "1 2 -1 -2 1 0 0 2 1 -2 -2", 5),
+    (1e-12, "2 1 1 2 0 -2 0 1e300 -1 1 -1", -3),
+    (1e-12, "1 1 0 0 0 2 -1 -1 -1 0 1 -2", 6),
+    (1e-12, "-0.25 -2 1.25 1.5 0.0 2.25 1.25 1.5 1 -1 1.75 1 0.75", 7),
+    (1e-12, "-1 2 0.75 -1.5 1.25 -1.5 -inf 0 1 -inf 1 -1.75 -0.5", -3),
+    (1e-12, "0.0 1 2 2 -1 1 0 0 0 0 2 0.0 -2", -1),
+    (1e-12, "0.5 0.25 1.25 1.5 -1.25 -2 -1 -1 1.75 2 inf 0 1.5", -3),
+    (0.001, "0.25 0 -0.5", 1),
+    (0.001, "-1.25 -0.0 0.75 -1.25", 1),
+    (0.001, "1 nan -1 nan", 2),
+    (0.001, "2 -1 1e-300 1e-300", -3),
+    (0.001, "5e-13 2 1.5 -0.5", -2),
+    (0.001, "-1 2 -0.0 0 0", -3),
+    (0.001, "1.75 0.0 -2.25 0.0 0.75", 2),
+    (0.001, "-1 2 1 -2 -1 2", 2),
+    (0.001, "-0.25 -2 1e-300 1 -2 1.25 0.25", 3),
+    (0.001, "nan 0.5 2.25 -0.5 -1.25 -1.75 0", -3),
+    (0.001, "-1 -1 -2 nan 1 nan -2 -2", -2),
+    (0.001, "-1.25 1.5 5e-13 5e-13 0.25 0.5 -2.25 1.75", 2),
+    (0.001, "1 -2 1 2 -1 -2 -1 2", 3),
+    (0.001, "0.25 0.75 2.25 -1.75 0.25 -0.25 -0.75 -1.25 0.0", -3),
+    (0.001, "1 -1 -1e300 1 1 0 1 -1e300 -1", -3),
+    (0.001, "nan 2 -2 0 -2 2 1 0 -1", -1),
+    (0.001, "1.5 -0.75 2.25 -0.25 -1.25 inf -1.5 1.75 0.5 inf -2.25", -3),
+    (0.001, "nan -2 2 -2 -1 1 -1 2 0 -1 0", -3),
+    (0.001, "0 -1 2 2 -2 0 -inf -inf 1 1 -2 1", -3),
+    (0.001, "1 1 0 -2 -2 2 -1 1 1 0 1 -2", 6),
+    (0.001, "1 2 nan -2 2 0 0 -1 -1 1 -1 nan", -2),
+    (0.001, "1 1 1 -2 -2 -1 2 -1 -2 1 -2 2 2", 6),
+    (0.001, "1.25 1.5 -1.5 -1.5 -1.75 -2.25 -0.75 1.5 1.25 1e300 0 1.25 1e300", -1),
+]
+# (ascending coefficients, has_nonneg_real_root's verdict)
+SCALAR_EXIT_VERDICTS = [
+    ("-1 nan 0", False),
+    ("0 -inf -inf", True),
+    ("0.0 0.0 -2", True),
+    ("1e300 1e300 0", False),
+    ("2 1 5e-13", False),
+    ("2 1e-300 1e-300", False),
+    ("2 nan 0", True),
+    ("inf inf 2", True),
+    ("nan nan 2", True),
+    ("1 nan -1 nan", True),
+    ("1 nan 0 0", True),
+    ("2.25 -0.5 -0.0 2", False),
+    ("-1 2 -0.0 0 0", True),
+    ("-2.25 -1 1e300 1e300 -2", True),
+    ("5e-13 5e-13 -1 -1 -1", True),
+    ("-1 2 0 0 0 0", True),
+    ("-1e300 1 2 -2 0 -1", False),
+    ("-2.25 -2 -2 -1.5 nan -2", True),
+    ("-0.25 -2 1e-300 1 -2 1.25 0.25", True),
+    ("-0.5 -2 -2 -1.25 -0.25 -1.5 0", False),
+    ("-1 0.5 -1e300 0.25 1.5 0.75 1.25", True),
+    ("-2 0.0 0.0 -1 -1 1 -1", False),
+    ("nan 0 2 -1 1 2 nan", True),
+    ("nan 0.5 2.25 -0.5 -1.25 -1.75 0", True),
+]
+
+
+@pytest.mark.parametrize("tol, row, code", SCALAR_EXIT_CODES)
+def test_routh_scan_golden_codes(tol, row, code):
+    coeffs = np.array([float(x) for x in row.split()])
+    assert kernels.routh_scan(coeffs, tol) == code
+
+
+@pytest.mark.parametrize("row, verdict", SCALAR_EXIT_VERDICTS)
+def test_has_nonneg_real_root_golden_verdicts(row, verdict):
+    d = np.array([float(x) for x in row.split()])
+    assert kernels.has_nonneg_real_root(d) == verdict
+
+
+@pytest.mark.parametrize(
+    "d, verdict",
+    [([2.0, -3.0, 1.0, 1e-13], True), ([2.0, 3.0, 1.0, 1e-13], False),
+     ([3.0, 1e-13], False), ([-3.0, 1e-13, -1e-14], False)],
+    ids=["trimmed-roots-1-2", "trimmed-roots-minus-1-2", "constant", "constant-neg"],
+)
+def test_has_nonneg_real_root_trims_negligible_leads(d, verdict):
+    """A leading coefficient under 1e-12 of the largest is dropped before the
+    chain is built.  (s - 1)(s - 2) + 1e-13 s^3 keeps its roots 1 and 2, and
+    (s + 1)(s + 2) + 1e-13 s^3 has none >= 0; the third root of each is near
+    -1e13.  3 + 1e-13 s (one root, near -3e13) and -3 + 1e-13 s - 1e-14 s^2
+    (a complex pair) trim to nonzero constants, which have no root."""
+    assert kernels.has_nonneg_real_root(np.array(d)) == verdict
+
+
 def _mixed_columns(n, rng):
     """Ascending coefficient columns of degree n: four ordinary normal draws,
     then columns with a ~0 leading coefficient, an isolated ~0 pivot
