@@ -46,6 +46,7 @@ from .montecarlo import (
     merge,
     run_estimation,
     run_shard,
+    run_shards,
     shard_stream,
 )
 from .refine import RepairFailed, least_squares_refine, nonneg_repair
@@ -88,6 +89,7 @@ __all__ = [
     "routh_hurwitz_count",
     "run_estimation",
     "run_shard",
+    "run_shards",
     "sample_index",
     "shard_stream",
     "__version__",

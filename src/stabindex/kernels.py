@@ -440,10 +440,13 @@ def _char_poly_block(mats, ws):
 def _hessenberg_block(h, ws):
     """Reduce an (n, n, count) stack in place to upper Hessenberg form.
 
-    Each step forms the products of a whole update in one (rows, m, count)
-    temporary and sums them row by row.  It takes n^2 + n + 2 rows from ws
-    besides the stack: n(n-1) of products, n of sums, n - 1 of tau v and
-    three per-column vectors.
+    Entries below the subdiagonal are left as they are: step k leaves the
+    reflector's tail under H[k+1, k], and neither a later step nor
+    _la_budde_block reads column k below the subdiagonal.  Each step forms
+    the products of a whole update in one (rows, m, count) temporary and
+    sums them row by row.  It takes n^2 + n + 2 rows from ws besides the
+    stack: n(n-1) of products, n of sums, n - 1 of tau v and three
+    per-column vectors.
     """
     n, _, count = h.shape
     prods = ws.take((n, n - 1, count))
@@ -452,7 +455,7 @@ def _hessenberg_block(h, ws):
     alpha, s, tau = ws.take((3, count))
     for k in range(n - 2):
         m = n - k - 1
-        v = h[k + 1 :, k]  # x, then the reflector's v, then H's column k
+        v = h[k + 1 :, k]  # x, then the reflector's v, then -s over v's tail
         sq = sums[:m]
         np.multiply(v, v, out=sq)
         np.copyto(alpha, sq[0])
@@ -488,7 +491,6 @@ def _hessenberg_block(h, ws):
         np.multiply(u[:, None], vt, out=t)
         np.subtract(cols, t, out=cols)
         np.negative(s, out=v[0])
-        v[1:] = 0.0
 
 
 def _la_budde_block(h, out, ws):

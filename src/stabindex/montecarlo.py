@@ -3,10 +3,14 @@
 Each shard owns the substream ``SeedSequence(seed, spawn_key=(shard,))`` and
 draws its samples in blocks through one loop, so the histogram depends only
 on (seed, shards, config), never on worker count, execution order or block
-size, and a shorter run is a prefix of a longer one.  A block holds as many
-rows as its route classifies at once (models.block_rows, capped here at
-CHUNK), so each block is drawn and classified whole, and a convergence grid
-point that falls inside a block is counted from that block's leading codes.
+size, and a shorter run is a prefix of a longer one.  run_shards returns
+each shard's histogram in shard order, the independent replicates of a run,
+and run_estimation is their merge held to the indeterminate budget.
+
+A block holds as many rows as its route classifies at once
+(models.block_rows, capped here at CHUNK), so each block is drawn and
+classified whole, and a convergence grid point that falls inside a block is
+counted from that block's leading codes.
 
 A pass takes one draw buffer from a workspace that kernels.lend lends it
 for the whole pass, draws each block into the head of that buffer, and
@@ -17,6 +21,7 @@ which a block makes resident only the pages it touches: a 3,000-row job's
 block touches a fraction of a budget.
 """
 
+import functools
 import math
 import os
 import threading
@@ -81,7 +86,11 @@ class EstimationConfig:
 
 @dataclass
 class IndexHistogram:
-    """Counts of observed indices 0..n plus indeterminate samples."""
+    """Counts of observed indices 0..n plus indeterminate samples.
+
+    counts is an integer array (numpy integer dtypes count, bool and float
+    do not), and indeterminate and samples are integers as validate_integer
+    reads them."""
 
     family: ModelFamily
     counts: np.ndarray
@@ -90,9 +99,14 @@ class IndexHistogram:
     seed: int | None = None
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.family.n + 1,):
+        for name in ("indeterminate", "samples"):
+            validate_integer(name, getattr(self, name))
+        counts = np.asarray(self.counts)
+        if counts.shape != (self.family.n + 1,):
             raise ValueError("counts must have length n + 1")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got {counts.dtype}")
+        self.counts = counts.astype(np.int64)
         if (self.counts < 0).any() or self.indeterminate < 0:
             raise ValueError("negative counts")
         if int(self.counts.sum()) + self.indeterminate != self.samples:
@@ -184,12 +198,25 @@ def _prefix_histograms(cfg: EstimationConfig, shard: int, sizes):
 
 
 def run_shard(cfg: EstimationConfig, shard: int) -> IndexHistogram:
-    """Histogram of one shard's substream (used by run_estimation and by
-    tests that reassemble sharded runs by hand).  It draws and classifies
-    blocks on a workspace lent to it while it runs, as _prefix_histograms
-    describes."""
+    """Histogram of one shard's substream, the per-shard worker that
+    run_shards runs.  It draws and classifies blocks on a workspace lent to
+    it while it runs, as _prefix_histograms describes."""
     base, rem = divmod(cfg.samples, cfg.shards)
     return next(_prefix_histograms(cfg, shard, [base + (1 if shard < rem else 0)]))
+
+
+def run_shards(cfg: EstimationConfig) -> list[IndexHistogram]:
+    """Each shard's histogram, in shard order: the cfg.shards independent
+    replicates a run is made of, with no indeterminate budget applied.
+
+    Shard s draws samples // shards samples, plus one when s < samples %
+    shards.  Shards run concurrently on the kept pool (see _shard_pool); a
+    single shard runs on the calling thread, which spares the pool's
+    handoff.
+    """
+    if cfg.shards == 1:
+        return [run_shard(cfg, 0)]
+    return list(_shard_pool().map(lambda s: run_shard(cfg, s), range(cfg.shards)))
 
 
 def merge(a: IndexHistogram, b: IndexHistogram) -> IndexHistogram:
@@ -209,19 +236,12 @@ def merge(a: IndexHistogram, b: IndexHistogram) -> IndexHistogram:
 def run_estimation(cfg: EstimationConfig) -> IndexHistogram:
     """Draw cfg.samples samples and histogram their stability indices.
 
-    Shards run concurrently but are merged in shard order, so the result is
-    a pure function of the config.  Raises EstimationAbort if more than
+    The histogram is the shard-ordered merge of run_shards(cfg), so it is a
+    pure function of the config.  Raises EstimationAbort if more than
     MAX_INDETERMINATE_FRACTION of the samples could not be certified at the
     working tolerance.
     """
-    if cfg.shards == 1:
-        total = run_shard(cfg, 0)
-    else:
-        parts = list(_shard_pool().map(lambda s: run_shard(cfg, s), range(cfg.shards)))
-        total = parts[0]
-        for part in parts[1:]:
-            total = merge(total, part)
-    return _within_budget(total)
+    return _within_budget(functools.reduce(merge, run_shards(cfg)))
 
 
 _pool = None

@@ -60,27 +60,24 @@ def least_squares_refine(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
 def nonneg_repair(cs: ConstraintSystem, ptilde) -> ProbabilityVector:
     """Refine, then repeatedly pin negative entries to exactly zero.
 
-    Each round pins every index whose refined value is negative (and, for
-    symmetric families, its mirror), rebuilds the constraint system over the
-    remaining free entries and re-solves against the original frequencies.
-    The pinned set only grows, so there are at most n + 1 rounds.  Raises
-    RepairFailed with the last iterate if a round finds negatives but nothing
-    new to pin, and InconsistentConstraints if pinning contradicts the
-    relations.
+    Each round pins every index whose refined value is negative, rebuilds
+    the constraint system over the remaining free entries and re-solves
+    against the original frequencies.  Only the negative indices are pinned:
+    in a symmetric family the relation p_k - p_{n-k} = 0 zeroes a pinned
+    entry's mirror, and pinning the mirror too builds the same system bit
+    for bit.  The pinned set only grows, so there are at most n + 1 rounds.
+    Raises RepairFailed with the last iterate if a round finds negatives but
+    nothing new to pin, and InconsistentConstraints if pinning contradicts
+    the relations.
     """
-    family = cs.family
     pinned = set(cs.pinned)
     phat = least_squares_refine(cs, ptilde)
     while True:
-        negative = np.flatnonzero(phat.values < 0.0)
-        if negative.size == 0:
+        negative = set(np.flatnonzero(phat.values < 0.0).tolist())
+        if not negative:
             return phat
-        before = len(pinned)
-        for j in negative:
-            pinned.add(int(j))
-            if family.symmetric:
-                pinned.add(family.n - int(j))
-        if len(pinned) == before:
+        if negative <= pinned:
             raise RepairFailed(phat)
-        cs = build_constraints(family, pinned=pinned)
+        pinned |= negative
+        cs = build_constraints(cs.family, pinned=pinned)
         phat = least_squares_refine(cs, ptilde)

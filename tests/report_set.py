@@ -1,6 +1,6 @@
 """Write the CLI's regression report set into a directory.
 
-Runs 152 ``stabindex`` invocations through ``cli.main`` in one process and
+Runs 160 ``stabindex`` invocations through ``cli.main`` in one process and
 writes each one's stdout, stderr and exit code to ``<name>.out``,
 ``<name>.err`` and ``<name>.code``.  Two trees are compared by writing the
 set against each tree's package and diffing the directories::
@@ -12,7 +12,8 @@ set against each tree's package and diffing the directories::
 The set: ``estimate --format json --samples 40000`` for every family at
 n = 1..10 under each method and at n = 11, 12 under ``auto``, ``--method
 rh`` at n = 11, 12 for the two matrix families, ``auto`` at disc-eq
-n = 36 and cont-eq n = 40, two sharded runs, ``convergence`` in every
+n = 36 and cont-eq n = 40, 40,001 samples on 3 and 5 shards for every
+family at n = 4, two more sharded runs, ``convergence`` in every
 format, ``verify`` at three sizes, n = 8 in every format for three
 families, and one 100k-sample run.  It takes under a
 minute on a 2-core x86 VM.
@@ -54,6 +55,13 @@ def reports() -> dict:
         out[f"est-{kind}-n{n}-auto"] = _estimate(
             kind, n, "--method", "auto", "--format", "json", "--samples", "40000"
         )
+    # uneven splits (40001 = 13334 + 13334 + 13333 and 8001 + 4 x 8000),
+    # and more shards than a 2-core machine runs at once
+    for kind in FAMILY_KINDS:
+        for shards in (3, 5):
+            out[f"est-{kind}-n4-40001-shards{shards}"] = _estimate(
+                kind, 4, "--format", "json", "--samples", "40001", "--shards", str(shards)
+            )
     out["est-cont-sys-n6-shards3-table"] = _estimate(
         "cont-sys", 6, "--shards", "3", "--format", "table", "--samples", "40000"
     )

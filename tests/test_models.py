@@ -355,6 +355,26 @@ class TestExactReferee:
         auto = batch_indices(fam, params[left], "auto")
         assert np.array_equal(auto, self._exact("disc-eq", params[left]))
 
+    def test_scalar_exit_certifies_under_auto(self, monkeypatch):
+        """Rows 1833 and 1871 of 2,000 disc-sys n = 20 draws meet a ~0
+        pivot in the batch Routh scan, and its scalar exit,
+        kernels.routh_scan, certifies both under "auto" before any
+        eigenvalue is taken; the exact referee agrees.  Normal draws reach
+        rows the exit decides, so it stays."""
+        fam = ModelFamily("disc-sys", 20)
+        params = np.random.default_rng(20).standard_normal((2000, fam.param_count))
+        params = params[[1833, 1871]]
+        scan, exits = kernels.routh_scan, []
+
+        def recording_scan(coeffs, tol):
+            exits.append(scan(coeffs, tol))
+            return exits[-1]
+
+        monkeypatch.setattr(kernels, "routh_scan", recording_scan)
+        auto = batch_indices(fam, params, "auto")
+        assert len(exits) == 2 and min(exits) >= 0
+        assert np.array_equal(auto, self._exact("disc-sys", params))
+
     def test_matrix_fallback_codes_are_exact(self):
         """Up to 8 of the cont-sys n = 24 rows the char-poly scan leaves
         indeterminate, which "auto" settles by the matrices' eigenvalues."""

@@ -2,6 +2,7 @@
 indeterminate-fraction abort."""
 
 import concurrent.futures
+import functools
 import math
 import os
 import signal
@@ -26,6 +27,7 @@ from stabindex.montecarlo import (
     merge,
     run_estimation,
     run_shard,
+    run_shards,
 )
 
 DISC_EQ_2_P2 = math.atan(math.sqrt(2.0)) / math.pi  # ~0.304087
@@ -61,11 +63,27 @@ class TestHistogram:
 
     @pytest.mark.parametrize(
         "counts, indeterminate, message",
-        [([3, 3, 4], 0, "length n \\+ 1"), ([-1, 11], 0, "negative"), ([5, 6], -1, "negative")],
+        [([3, 3, 4], 0, "length n \\+ 1"), ([-1, 11], 0, "negative"), ([5, 6], -1, "negative"),
+         ([4.5, 5.5], 0, "counts must be integers"), ([4.0, 6.0], 0, "counts must be integers"),
+         ([math.nan, 10], 0, "counts must be integers"), ([True, False], 9, "counts must be integers"),
+         ([5, 4], 1.0, "indeterminate must be an integer"),
+         ([5, 4], True, "indeterminate must be an integer")],
     )
     def test_rejects_malformed_counts(self, counts, indeterminate, message):
         with pytest.raises(ValueError, match=message):
             IndexHistogram(ModelFamily("cont-eq", 1), counts, indeterminate, 10, 0)
+
+    @pytest.mark.parametrize(
+        "samples", [6.5, 6.0, np.float64(6.0)], ids=["fraction", "float", "numpy-float"]
+    )
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            IndexHistogram(ModelFamily("cont-eq", 2), [3, 3, 0], 0, samples, 0)
+
+    def test_numpy_integers_count(self):
+        counts = np.array([1, 2, 0], dtype=np.uint8)
+        hist = IndexHistogram(ModelFamily("cont-eq", 2), counts, np.int32(1), np.int64(4), 0)
+        assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize(
         "values, stderr, source, message",
@@ -132,6 +150,41 @@ class TestDeterminism:
             acc = merge(acc, part)
         assert np.array_equal(acc.counts, whole.counts)
         assert acc.samples == whole.samples == 10_000
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "kind, n", [("cont-eq", 4), ("disc-eq", 3), ("cont-sys", 3), ("disc-sys", 3)]
+    )
+    def test_run_shards_are_the_replicates_of_a_run(self, kind, n, shards):
+        """run_shards(cfg)[s] is run_shard(cfg, s) bit for bit, and their
+        merge in shard order is run_estimation's histogram.  4,001 samples
+        split unevenly over 2, 3 and 5 shards; 3 and 5 are more shards than
+        a 2-core machine runs at once."""
+        cfg = EstimationConfig(ModelFamily(kind, n), 4_001, 29, shards=shards)
+        parts = run_shards(cfg)
+        base, rem = divmod(cfg.samples, shards)
+        assert [p.samples for p in parts] == [base + (s < rem) for s in range(shards)]
+        for s, part in enumerate(parts):
+            alone = run_shard(cfg, s)
+            assert part.counts.tobytes() == alone.counts.tobytes()
+            assert (part.indeterminate, part.seed) == (alone.indeterminate, alone.seed)
+        acc, whole = functools.reduce(merge, parts), run_estimation(cfg)
+        assert acc.counts.tobytes() == whole.counts.tobytes()
+        assert (acc.indeterminate, acc.samples, acc.seed) == (
+            whole.indeterminate, whole.samples, whole.seed
+        )
+
+    def test_run_shards_hold_no_budget(self):
+        """The indeterminate budget is run_estimation's: run_shards returns
+        the shards of a run that aborts, and their merge is the histogram
+        the abort carries."""
+        cfg = EstimationConfig(ModelFamily("disc-eq", 3), 10_000, 20231, shards=2, tol=1e-2)
+        parts = run_shards(cfg)
+        with pytest.raises(EstimationAbort) as err:
+            run_estimation(cfg)
+        acc = functools.reduce(merge, parts)
+        assert acc.counts.tobytes() == err.value.histogram.counts.tobytes()
+        assert acc.indeterminate == err.value.histogram.indeterminate > 0
 
     @pytest.mark.parametrize("cores", [3, 16])
     def test_pool_is_no_wider_than_the_cores(self, monkeypatch, cores):

@@ -1,6 +1,7 @@
 """Least-squares refinement and the non-negativity repair, checked against
 exactly known projections (frozen as rational constants)."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from stabindex.constraints import (
     InconsistentConstraints,
     build_constraints,
 )
-from stabindex.models import ModelFamily
+from stabindex.models import FAMILY_KINDS, ModelFamily
 from stabindex.montecarlo import (
     EstimationConfig,
     ProbabilityVector,
@@ -268,8 +269,8 @@ class TestNonnegRepair:
 
     def test_symmetric_pinning_on_sampled_frequencies(self):
         # at this sample size the order-10 tails are far below the noise
-        # floor, so the plain projection dips negative and repair must pin
-        # mirror pairs together
+        # floor, so the plain projection dips negative; repair pins the
+        # negative entries, and the relations zero their mirrors
         family = ModelFamily("cont-eq", 10)
         cfg = EstimationConfig(family, 100_000, 3)
         freq = frequencies(run_estimation(cfg))
@@ -303,3 +304,75 @@ class TestNonnegRepair:
         # pin it must surface the contradiction instead of guessing
         with pytest.raises(InconsistentConstraints):
             build_constraints(ModelFamily("disc-eq", 4), pinned=(1,))
+
+
+SYMMETRIC_KINDS = [kind for kind in FAMILY_KINDS if ModelFamily(kind, 2).symmetric]
+
+
+def _system_or_none(family, pinned):
+    try:
+        return constraints._build_system.__wrapped__(family, tuple(sorted(pinned)))
+    except InconsistentConstraints:
+        return None
+
+
+def _mirrored_repair(cs, ptilde):
+    """A repair that pins every negative index and its mirror each round,
+    the reference for nonneg_repair's one-sided pins."""
+    pinned = set(cs.pinned)
+    phat = least_squares_refine(cs, ptilde)
+    while (negative := np.flatnonzero(phat.values < 0.0)).size:
+        grown = pinned | set(negative.tolist()) | {cs.family.n - j for j in negative.tolist()}
+        if grown == pinned:
+            raise RepairFailed(phat)
+        pinned = grown
+        cs = build_constraints(cs.family, pinned=pinned)
+        phat = least_squares_refine(cs, ptilde)
+    return phat
+
+
+class TestMirrorPins:
+    """In a symmetric family the relation p_k - p_{n-k} = 0 zeroes a pinned
+    entry's mirror, so nonneg_repair pins only the negative entries."""
+
+    @pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+    def test_one_sided_pins_build_the_mirrored_system(self, kind):
+        checked = 0
+        for n in range(1, 11):
+            family = ModelFamily(kind, n)
+            for size in (1, 2):
+                for pins in itertools.combinations(range(n + 1), size):
+                    one = _system_or_none(family, pins)
+                    both = _system_or_none(family, set(pins) | {n - j for j in pins})
+                    assert (one is None) == (both is None), (n, pins)
+                    if one is not None:
+                        checked += 1
+                        assert one.free == both.free, (n, pins)
+                        assert one.design.tobytes() == both.design.tobytes(), (n, pins)
+                        assert one.offset.tobytes() == both.offset.tobytes(), (n, pins)
+        assert checked > 200
+
+    @pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+    def test_repair_equals_mirrored_repair(self, kind):
+        """Multinomial frequencies with thin tails, of which the plain
+        projection takes some below zero: the repair's values, stderr and
+        exceptions are those of a repair that also pins mirrors."""
+        rng = np.random.default_rng(11)
+        repaired = 0
+        for n in (4, 6, 7, 10):
+            cs = build_constraints(ModelFamily(kind, n))
+            weights = np.exp(-np.abs(np.arange(n + 1) - n / 2))
+            for _ in range(25):
+                samples = int(rng.integers(100, 20_000))
+                counts = rng.multinomial(samples, weights / weights.sum())
+                observed = _observed(counts / samples, samples)
+                repaired += bool((least_squares_refine(cs, observed).values < 0).any())
+                outcomes = []
+                for repair in (nonneg_repair, _mirrored_repair):
+                    try:
+                        got = repair(cs, observed)
+                        outcomes.append((got.values.tobytes(), got.stderr.tobytes()))
+                    except (RepairFailed, InconsistentConstraints) as err:
+                        outcomes.append(type(err))
+                assert outcomes[0] == outcomes[1], (n, samples)
+        assert repaired > 0
