@@ -178,19 +178,22 @@ def routh_scan(coeffs, tol):
 # it scans the image.  The chunk (montecarlo.CHUNK, 16384 rows) caps that
 # width up to n = 9; at n = 40 it is 4206 columns.  The char-poly kernel
 # reduces an (n, n, block) copy of each block in place and forms each
-# Householder update's products in one (n, n-1, block) temporary, so a few
-# large numpy calls do each step.  Its coefficients, the stack and the
-# larger of its two phases' working arrays take at most 2n^2 + 2n + 3 float
-# rows, which _char_poly_width keeps within _BLOCK_BYTES (5637 rows at
-# n = 6, 2250 at n = 10); the Routh or Jury scan of the coefficients reuses
-# the stack's rows once it is dead.  That width is set by the interpreter
-# lock, not by memory: a block makes over 200 numpy calls at n = 6 whatever
-# its width, and each call releases and retakes the lock, so two thread
-# shards overlap only while the calls are long.  On a 2-core VM two threads
-# ran the kernel 0.98x as fast as one at 2818 columns (2 MiB) and 1.27x at
-# 5637 (4 MiB).  The same budget sizes the eigenvalue routes' (block, n, n)
-# stacks (_eigen_width), those of "auto"'s eigenvalue fallback included, so
-# no route's block outgrows it.
+# Householder update's products a row or a column at a time in one
+# (n, block) temporary.  Its coefficients, the stack and the larger of its
+# two phases (La Budde's recurrence from n = 3 on) take
+# n^2 + n + 1 + max(3n + 2, n(n+1)/2 + 2n - 1) float rows; below n = 3 the
+# Jury scan of the coefficients takes more.  _char_poly_width keeps the
+# larger within _BLOCK_BYTES, and the drawn block beside it within one and
+# a half (6988 rows at n = 6, 2749 at n = 10); the Routh or Jury scan of
+# the coefficients reuses the stack's rows once it is dead.  That width is
+# set by the interpreter lock, not by memory: a block makes over 250
+# numpy calls at n = 6 whatever its width, and each call releases and
+# retakes the lock, so two thread shards overlap only while the calls are
+# long.  On a 2-core VM two threads ran the kernel 1.15-1.19x as fast as
+# one at 6988 columns; the wider blocks, not the overlap, are what made
+# two shards faster than at 5637.  The same budget sizes the eigenvalue
+# routes' (block, n, n) stacks (_eigen_width), those of "auto"'s
+# eigenvalue fallback included, so no route's block outgrows it.
 
 _BLOCK_BYTES = 4 << 20
 _ALIGN = 64  # bytes: a cache line; at malloc's 16 the eq-scan benchmark ran 8% slower
@@ -260,26 +263,44 @@ def lend():
         _idle.append(ws)
 
 
-def _scan_width(n):
-    """Columns per block of the degree-n Routh and Jury scans: what the
-    Jury scan holds at once (jury_codes) fits _BLOCK_BYTES.  Per column
-    that is its codes and Moebius image, n + 2 float rows, and a bool row,
-    then the larger of the Moebius map's two working arrays, 2n + 2 float
-    rows, and the Routh scan of the image, 3(n//2 + 1) + 2 float rows and
-    n + 1 bool rows; besides, the (n+1, n+1) Moebius weights and 4 KiB for
-    the iterators and views of numpy's calls.  The Routh scan alone takes
-    fewer."""
+def _scan_bytes(n):
+    """Bytes per column that the degree-n Jury scan holds at once
+    (jury_codes): its codes and Moebius image, n + 2 float rows, and a
+    bool row, then the larger of the Moebius map's two working arrays,
+    2n + 2 float rows, and the Routh scan of the image, 3(n//2 + 1) + 2
+    float rows and n + 1 bool rows.  The Routh scan alone takes fewer."""
     held = 8 * (n + 2) + 1
     scan = max(16 * (n + 1), 8 * (3 * (n // 2 + 1) + 2) + n + 1)
-    return max(1, (_BLOCK_BYTES - 8 * (n + 1) ** 2 - 4096) // (held + scan))
+    return held + scan
+
+
+def _scan_width(n):
+    """Columns per block of the degree-n Routh and Jury scans: _scan_bytes
+    per column fit _BLOCK_BYTES, besides the (n+1, n+1) Moebius weights
+    and 4 KiB for the iterators and views of numpy's calls."""
+    return max(1, (_BLOCK_BYTES - 8 * (n + 1) ** 2 - 4096) // _scan_bytes(n))
 
 
 def _char_poly_width(n):
-    """Columns per block of the degree-n char-poly kernel: 2n^2 + 3n + 3
-    float rows of this width fit _BLOCK_BYTES, and the kernel's
-    coefficients, stack and larger phase take at most 2n^2 + 2n + 3 of them
-    (_char_poly_block)."""
-    return max(1, _BLOCK_BYTES // (8 * (2 * n * n + 3 * n + 3)))
+    """Columns per block of the degree-n char-poly kernel and its scan.
+
+    A column takes n + 1 float rows of coefficients, n^2 of stack and the
+    larger of the kernel's phases: 3n + 2 rows of Householder updates or
+    n(n+1)/2 + 2n - 1 of La Budde's recurrence (_char_poly_block).  From
+    n = 3 on that outweighs batch_pencil_disk's Jury scan, which holds the
+    coefficients, their scaled copy and the radius powers, 2n + 3 float
+    rows, beside _scan_bytes.  The larger fits _BLOCK_BYTES, and with the
+    pass's drawn block beside it, n^2 + 1 float rows at most, one and a
+    half budgets: the Monte Carlo layer takes both from one workspace.
+    Each bound sets aside 16 * _ALIGN bytes, for what aligning each array
+    the block or pass holds (16 at most) adds to it.
+    """
+    kernel = 8 * (n + 1 + n * n + max(3 * n + 2, n * (n + 1) // 2 + 2 * n - 1))
+    column = max(kernel, 8 * (2 * n + 3) + _scan_bytes(n))
+    drawn = 8 * (n * n + 1)
+    pad = 16 * _ALIGN
+    alone = (_BLOCK_BYTES - pad) // column
+    return max(1, min(alone, (3 * _BLOCK_BYTES // 2 - pad) // (column + drawn)))
 
 
 def _eigen_width(n):
@@ -423,7 +444,8 @@ def _char_poly_block(mats, ws):
 
     The coefficients are taken from ws, and the stack and both phases'
     working arrays above them, given back on return: n + 1 rows, then n^2
-    of stack and at most n^2 + n + 2 of the larger phase, _hessenberg_block.
+    of stack and the larger phase, 3n + 2 rows of _hessenberg_block or
+    n(n+1)/2 + 2n - 1 of _la_budde_block (the larger from n = 3 on).
     """
     count, n, _ = mats.shape
     coeffs = ws.take((n + 1, count))
@@ -442,14 +464,14 @@ def _hessenberg_block(h, ws):
 
     Entries below the subdiagonal are left as they are: step k leaves the
     reflector's tail under H[k+1, k], and neither a later step nor
-    _la_budde_block reads column k below the subdiagonal.  Each step forms
-    the products of a whole update in one (rows, m, count) temporary and
-    sums them row by row.  It takes n^2 + n + 2 rows from ws besides the
-    stack: n(n-1) of products, n of sums, n - 1 of tau v and three
-    per-column vectors.
+    _la_budde_block reads column k below the subdiagonal.  Each update
+    forms its products one row (left update) or one column (right update)
+    at a time in one (n, count) temporary, and adds them into its sums in
+    ascending order.  It takes 3n + 2 rows from ws besides the stack: n of
+    products, n of sums, n - 1 of tau v and three per-column vectors.
     """
     n, _, count = h.shape
-    prods = ws.take((n, n - 1, count))
+    term = ws.take((n, count))
     sums = ws.take((n, count))
     scaled = ws.take((n - 1, count))
     alpha, s, tau = ws.take((3, count))
@@ -474,22 +496,24 @@ def _hessenberg_block(h, ws):
         np.multiply(v, tau, out=vt)
         # left update of rows and columns k+1..: H -= (tau v) (v^T H)
         rows = h[k + 1 :, k + 1 :]
-        t, w = prods[:m, :m], sums[:m]
-        np.multiply(rows, v[:, None], out=t)
-        np.copyto(w, t[0])
+        t, w = term[:m], sums[:m]
+        np.multiply(rows[0], v[0], out=w)
         for i in range(1, m):
-            np.add(w, t[i], out=w)
-        np.multiply(vt[:, None], w, out=t)
-        np.subtract(rows, t, out=rows)
+            np.multiply(rows[i], v[i], out=t)
+            np.add(w, t, out=w)
+        for i in range(m):
+            np.multiply(vt[i], w, out=t)
+            np.subtract(rows[i], t, out=rows[i])
         # right update of all rows, columns k+1..: H -= (H v) (tau v)^T
         cols = h[:, k + 1 :]
-        t, u = prods[:, :m], sums
-        np.multiply(cols, v, out=t)
-        np.copyto(u, t[:, 0])
+        t, u = term, sums
+        np.multiply(cols[:, 0], v[0], out=u)
         for j in range(1, m):
-            np.add(u, t[:, j], out=u)
-        np.multiply(u[:, None], vt, out=t)
-        np.subtract(cols, t, out=cols)
+            np.multiply(cols[:, j], v[j], out=t)
+            np.add(u, t, out=u)
+        for j in range(m):
+            np.multiply(u, vt[j], out=t)
+            np.subtract(cols[:, j], t, out=cols[:, j])
         np.negative(s, out=v[0])
 
 

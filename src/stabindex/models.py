@@ -248,11 +248,13 @@ def block_rows(family: ModelFamily, method: str) -> int:
     the width of one block of the route's kernel, whose working arrays fit
     kernels._BLOCK_BYTES.  batch_indices cuts its rows into such blocks,
     and the Monte Carlo layer draws blocks of this width, capped there at
-    its CHUNK.  That is a char-poly block (kernels._char_poly_width) for
-    the sign scan of the matrix families, a Routh or Jury scan block
-    (kernels._scan_width) for that of the equation families, and a
-    (rows, n, n) stack (kernels._eigen_width) for both eigenvalue routes,
-    the equation families' companion stacks included.
+    its CHUNK.  That is a char-poly block (kernels._char_poly_width,
+    whose kernel and scan fit the budget, and one and a half budgets with
+    a drawn block of as many rows beside them) for the sign scan of the
+    matrix families, a Routh or Jury scan block (kernels._scan_width) for
+    that of the equation families, and a (rows, n, n) stack
+    (kernels._eigen_width) for both eigenvalue routes, the equation
+    families' companion stacks included.
     """
     if resolve_method(family, method) == "eigen":
         return kernels._eigen_width(family.n)

@@ -88,9 +88,10 @@ class EstimationConfig:
 class IndexHistogram:
     """Counts of observed indices 0..n plus indeterminate samples.
 
-    counts is an integer array (numpy integer dtypes count, bool and float
-    do not), and indeterminate and samples are integers as validate_integer
-    reads them."""
+    family is a ModelFamily, counts an integer array (numpy integer
+    dtypes count, bool and float do not), indeterminate and samples
+    integers as validate_integer reads them, and seed such an integer
+    >= 0, or None."""
 
     family: ModelFamily
     counts: np.ndarray
@@ -99,8 +100,14 @@ class IndexHistogram:
     seed: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.family, ModelFamily):
+            raise ValueError(f"family must be a ModelFamily, got {self.family!r}")
         for name in ("indeterminate", "samples"):
             validate_integer(name, getattr(self, name))
+        if self.seed is not None:
+            validate_integer("seed", self.seed)
+            if self.seed < 0:
+                raise ValueError("seed must be a non-negative integer")
         counts = np.asarray(self.counts)
         if counts.shape != (self.family.n + 1,):
             raise ValueError("counts must have length n + 1")
@@ -118,7 +125,8 @@ class ProbabilityVector:
     """Index probabilities with per-entry standard errors.
 
     source is "raw" (observed frequencies), "refined" (least-squares
-    projection) or "exact" (analytic values, NaN where unknown).
+    projection) or "exact" (analytic values, NaN where unknown).  Every
+    standard error is finite and >= 0, whatever the source.
     """
 
     values: np.ndarray
@@ -132,6 +140,8 @@ class ProbabilityVector:
             raise ValueError("values and stderr must be 1-D and equal length")
         if self.source not in ("raw", "refined", "exact"):
             raise ValueError(f"unknown source {self.source!r}")
+        if not (np.isfinite(self.stderr).all() and (self.stderr >= 0.0).all()):
+            raise ValueError(f"stderr must be finite and >= 0, got {self.stderr}")
         if self.source != "exact":
             if not np.isfinite(self.values).all():
                 raise ValueError(f"{self.source} probabilities must be finite")

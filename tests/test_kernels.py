@@ -368,14 +368,17 @@ def _traced_peak(run):
 
 
 def test_char_poly_width_bounds_the_block_peak():
-    """One n = 6 block of _char_poly_width(6) rows, with its Routh or Jury
-    scan, uses no more of a workspace's slab than _BLOCK_BYTES, the budget
-    the width is derived from.  Besides the slab it allocates under a tenth
+    """One block of _char_poly_width(n) rows, with its Routh or Jury scan,
+    uses no more of a workspace's slab than _BLOCK_BYTES, the budget the
+    width is derived from, at low n, where the Jury scan outweighs the
+    kernel, and at high n.  Besides the slab it allocates under a tenth
     of the budget, on a new workspace and on a warm one: only numpy's own
-    temporaries and the codes."""
-    n = 6
-    for kind in ("cont-sys", "disc-sys"):
-        params = _draws(kind, n, kernels._char_poly_width(n), integer=False)
+    temporaries and the codes.  A pass's drawn block (capped at CHUNK
+    rows) and its classification take at most one and a half budgets of
+    one workspace, and the Householder phase alone 3n + 2 float rows."""
+    for n, kind in itertools.product((2, 3, 6, 10, 12, 20, 24), ("cont-sys", "disc-sys")):
+        width = kernels._char_poly_width(n)
+        params = _draws(kind, n, width, integer=False)
         mats, radii = _matrices(kind, n, params), np.abs(params[:, 0])
         ws = HighWaterWorkspace()
 
@@ -387,8 +390,27 @@ def test_char_poly_width_bounds_the_block_peak():
                 return kernels.batch_pencil_disk(mats, radii, TOL, ws, out)
 
         peaks = [_traced_peak(codes) for _ in range(2)]
-        assert ws.high <= kernels._BLOCK_BYTES, f"{kind}: workspace used {ws.high} bytes"
-        assert max(peaks) < kernels._BLOCK_BYTES // 10, f"{kind}: peaks {peaks} bytes"
+        where = f"{kind} n={n}"
+        assert ws.high <= kernels._BLOCK_BYTES, f"{where}: workspace used {ws.high} bytes"
+        assert max(peaks) < kernels._BLOCK_BYTES // 10, f"{where}: peaks {peaks} bytes"
+
+        ws = HighWaterWorkspace()
+        rows = min(CHUNK, width)
+        with ws:
+            drawn = ws.take((rows, params.shape[1]))
+            drawn[...] = params[:rows]
+            models.batch_indices(ModelFamily(kind, n), drawn, "rh", TOL, ws)
+        assert ws.high <= 1.5 * kernels._BLOCK_BYTES, f"{where}: pass used {ws.high} bytes"
+
+        ws = HighWaterWorkspace()
+        count = 8 * (rows // 8)  # whole cache lines per row: no alignment padding
+        with ws:
+            h = ws.take((n, n, count))
+            np.copyto(h, mats[:count].transpose(1, 2, 0))
+            stack = ws.high
+            kernels._hessenberg_block(h, ws)
+        used = ws.high - stack
+        assert used <= (3 * n + 2) * count * 8, f"{where}: Householder phase used {used} bytes"
 
 
 def test_companion_block_peak_is_an_eigen_block_peak():

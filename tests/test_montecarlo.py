@@ -80,6 +80,25 @@ class TestHistogram:
         with pytest.raises(ValueError, match="samples must be an integer"):
             IndexHistogram(ModelFamily("cont-eq", 2), [3, 3, 0], 0, samples, 0)
 
+    @pytest.mark.parametrize("family", ["cont-eq", ("cont-eq", 1), None])
+    def test_family_must_be_a_model_family(self, family):
+        # a kind string once failed on family.n with an AttributeError
+        with pytest.raises(ValueError, match="family must be a ModelFamily"):
+            IndexHistogram(family, [1, 2], 0, 3)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, "seed must be an integer"), (np.float64(3.0), "seed must be an integer"),
+         (True, "seed must be an integer"), (-4, "seed must be a non-negative integer")],
+    )
+    def test_rejects_a_bad_seed(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            IndexHistogram(ModelFamily("cont-eq", 1), [1, 2], 0, 3, seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(7)])
+    def test_seed_may_be_none_or_a_non_negative_integer(self, seed):
+        assert IndexHistogram(ModelFamily("cont-eq", 1), [1, 2], 0, 3, seed).seed == seed
+
     def test_numpy_integers_count(self):
         counts = np.array([1, 2, 0], dtype=np.uint8)
         hist = IndexHistogram(ModelFamily("cont-eq", 2), counts, np.int32(1), np.int64(4), 0)
@@ -94,6 +113,15 @@ class TestHistogram:
     def test_probability_vector_rejects_bad_shape_or_source(self, values, stderr, source, message):
         with pytest.raises(ValueError, match=message):
             ProbabilityVector(values, stderr, source)
+
+    @pytest.mark.parametrize("source", ["raw", "refined", "exact"])
+    @pytest.mark.parametrize(
+        "stderr", [[math.nan, 0.1], [0.1, -1.0], [math.inf, 0.0]], ids=["nan", "negative", "inf"]
+    )
+    def test_probability_vector_rejects_bad_stderr(self, source, stderr):
+        # least_squares_refine squares each stderr: a -1 would pass as a variance of 1
+        with pytest.raises(ValueError, match="stderr must be finite and >= 0"):
+            ProbabilityVector([0.5, 0.5], stderr, source)
 
     def test_probability_vector_mass_check(self):
         with pytest.raises(ValueError):
