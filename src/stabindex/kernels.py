@@ -186,14 +186,13 @@ def routh_scan(coeffs, tol):
 # larger within _BLOCK_BYTES, and the drawn block beside it within one and
 # a half (6988 rows at n = 6, 2749 at n = 10); the Routh or Jury scan of
 # the coefficients reuses the stack's rows once it is dead.  That width is
-# set by the interpreter lock, not by memory: a block makes over 250
-# numpy calls at n = 6 whatever its width, and each call releases and
-# retakes the lock, so two thread shards overlap only while the calls are
-# long.  On a 2-core VM two threads ran the kernel 1.15-1.19x as fast as
-# one at 6988 columns; the wider blocks, not the overlap, are what made
-# two shards faster than at 5637.  The same budget sizes the eigenvalue
-# routes' (block, n, n) stacks (_eigen_width), those of "auto"'s
-# eigenvalue fallback included, so no route's block outgrows it.
+# set by the interpreter lock, not by memory: a block and its Routh scan
+# make about 280 numpy calls at n = 6 whatever its width, and each call
+# releases and retakes the lock, so two thread shards overlap only while
+# the calls are long.  On a 2-core VM two threads ran the kernel
+# 1.15-1.19x as fast as one at 6988 columns.  The same budget sizes the
+# eigenvalue routes' (block, n, n) stacks (_eigen_width), those of
+# "auto"'s eigenvalue fallback included, so no route's block outgrows it.
 
 _BLOCK_BYTES = 4 << 20
 _ALIGN = 64  # bytes: a cache line; at malloc's 16 the eq-scan benchmark ran 8% slower
@@ -438,9 +437,10 @@ def _char_poly_block(mats, ws):
     s = copysign(alpha, x[0]), v = x + s e_0 and
     tau = 1 / (alpha (alpha + |x[0]|)), maps x to -s e_0; tau = 0 where
     that denominator is 0, so a zero subcolumn is left as it is.  Every
-    sum runs in ascending index order from its first term; matmul, einsum
-    and .sum would reorder or fuse those additions.  The stack is copied
-    to (n, n, count), so the reduction runs in place without touching mats.
+    sum of the reduction is one _dot, which keeps the ascending order of
+    the scalar reference; La Budde's recurrence subtracts its terms in
+    that order too.  The stack is copied to (n, n, count), so the
+    reduction runs in place without touching mats.
 
     The coefficients are taken from ws, and the stack and both phases'
     working arrays above them, given back on return: n + 1 rows, then n^2
@@ -459,6 +459,20 @@ def _char_poly_block(mats, ws):
     return coeffs
 
 
+def _dot(parts, v, t, acc):
+    """Write sum_j parts[j] * v[j] into acc, and return it: j ascending
+    from the first term, each product formed in t, as the scalar reference
+    char_poly (tests/reference.py) adds them.  Every sum of the Householder
+    step goes through here.  np.add.reduce, .sum, einsum and matmul do not
+    keep that order: numpy sums axis 0 of an (m, 1) block pairwise, which
+    from m = 8 on moves the last bits of a one-column block."""
+    np.multiply(parts[0], v[0], out=acc)
+    for j in range(1, len(v)):
+        np.multiply(parts[j], v[j], out=t)
+        np.add(acc, t, out=acc)
+    return acc
+
+
 def _hessenberg_block(h, ws):
     """Reduce an (n, n, count) stack in place to upper Hessenberg form.
 
@@ -466,9 +480,9 @@ def _hessenberg_block(h, ws):
     reflector's tail under H[k+1, k], and neither a later step nor
     _la_budde_block reads column k below the subdiagonal.  Each update
     forms its products one row (left update) or one column (right update)
-    at a time in one (n, count) temporary, and adds them into its sums in
-    ascending order.  It takes 3n + 2 rows from ws besides the stack: n of
-    products, n of sums, n - 1 of tau v and three per-column vectors.
+    at a time in one (n, count) temporary, through _dot.  It takes 3n + 2
+    rows from ws besides the stack: n of products, n of sums, n - 1 of
+    tau v and three per-column vectors.
     """
     n, _, count = h.shape
     term = ws.take((n, count))
@@ -478,12 +492,7 @@ def _hessenberg_block(h, ws):
     for k in range(n - 2):
         m = n - k - 1
         v = h[k + 1 :, k]  # x, then the reflector's v, then -s over v's tail
-        sq = sums[:m]
-        np.multiply(v, v, out=sq)
-        np.copyto(alpha, sq[0])
-        for i in range(1, m):
-            np.add(alpha, sq[i], out=alpha)
-        np.sqrt(alpha, out=alpha)
+        np.sqrt(_dot(v, v, term[0], alpha), out=alpha)
         np.copysign(alpha, v[0], out=s)
         denom = sums[0]
         np.abs(v[0], out=denom)
@@ -494,26 +503,15 @@ def _hessenberg_block(h, ws):
         np.add(v[0], s, out=v[0])
         vt = scaled[:m]
         np.multiply(v, tau, out=vt)
-        # left update of rows and columns k+1..: H -= (tau v) (v^T H)
-        rows = h[k + 1 :, k + 1 :]
-        t, w = term[:m], sums[:m]
-        np.multiply(rows[0], v[0], out=w)
-        for i in range(1, m):
-            np.multiply(rows[i], v[i], out=t)
-            np.add(w, t, out=w)
-        for i in range(m):
-            np.multiply(vt[i], w, out=t)
-            np.subtract(rows[i], t, out=rows[i])
-        # right update of all rows, columns k+1..: H -= (H v) (tau v)^T
-        cols = h[:, k + 1 :]
-        t, u = term, sums
-        np.multiply(cols[:, 0], v[0], out=u)
-        for j in range(1, m):
-            np.multiply(cols[:, j], v[j], out=t)
-            np.add(u, t, out=u)
-        for j in range(m):
-            np.multiply(u, vt[j], out=t)
-            np.subtract(cols[:, j], t, out=cols[:, j])
+        # left update of rows and columns k+1.., H -= (tau v) (v^T H), then
+        # right update of all rows, columns k+1.., H -= (H v) (tau v)^T:
+        # part i is row k+1+i, then column k+1+i
+        for parts in (h[k + 1 :, k + 1 :], h[:, k + 1 :].swapaxes(0, 1)):
+            t, acc = term[: parts.shape[1]], sums[: parts.shape[1]]
+            _dot(parts, v, t, acc)
+            for i, part in enumerate(parts):
+                np.multiply(vt[i], acc, out=t)
+                np.subtract(part, t, out=part)
         np.negative(s, out=v[0])
 
 
@@ -598,27 +596,31 @@ def batch_pencil_disk(mats, radii, tol, ws, out):
 # Eigenvalue batch paths: one stacked LAPACK call per block (_eigen_width).
 
 
+def _count_negative(d, thr, out):
+    """Write the number of entries below 0 in each row of d into out, and
+    BOUNDARY_ROOT over a row with an entry within thr[i] of 0; return
+    out."""
+    boundary = (np.abs(d) <= thr[:, None]).any(axis=1)
+    np.sum(d < 0.0, axis=1, out=out)
+    out[boundary] = BOUNDARY_ROOT
+    return out
+
+
 def eig_halfplane_codes(mats, tol, out):
     """Write the counts of eigenvalues with Re < 0 of each matrix of a
     (count, n, n) stack into the int64 array out, and return it."""
     lam = np.linalg.eigvals(mats)
-    thr = tol * np.abs(lam).max(axis=1)
-    boundary = (np.abs(lam.real) <= thr[:, None]).any(axis=1)
-    np.sum(lam.real < 0.0, axis=1, out=out)
-    out[boundary] = BOUNDARY_ROOT
-    return out
+    return _count_negative(lam.real, tol * np.abs(lam).max(axis=1), out)
 
 
 def eig_disk_codes(mats, radii, tol, out):
     """Write the counts of eigenvalues with |x| < radii[i] of each matrix
     mats[i] of a (count, n, n) stack into the int64 array out, and return
-    it; radii is a length-count array."""
+    it; radii is a length-count array.  The sign of |x| - r is exact, so
+    counting |x| - r < 0 counts |x| < r."""
     mod = np.abs(np.linalg.eigvals(mats))
     thr = tol * np.maximum(mod.max(axis=1), radii)
-    boundary = (np.abs(mod - radii[:, None]) <= thr[:, None]).any(axis=1)
-    np.sum(mod < radii[:, None], axis=1, out=out)
-    out[boundary] = BOUNDARY_ROOT
-    return out
+    return _count_negative(mod - radii[:, None], thr, out)
 
 
 def _companion_block(coeffs, keep, ws):

@@ -1,6 +1,6 @@
 """Write the CLI's regression report set into a directory.
 
-Runs 162 ``stabindex`` invocations through ``cli.main`` in one process and
+Runs 164 ``stabindex`` invocations through ``cli.main`` in one process and
 writes each one's stdout, stderr and exit code to ``<name>.out``,
 ``<name>.err`` and ``<name>.code``.  Two trees are compared by writing the
 set against each tree's package and diffing the directories::
@@ -12,11 +12,11 @@ set against each tree's package and diffing the directories::
 The set: ``estimate --format json --samples 40000`` for every family at
 n = 1..10 under each method and at n = 11, 12 under ``auto``, ``--method
 rh`` for the two matrix families at n = 11, 12 and on 2 shards at n = 20,
-``auto`` at disc-eq n = 36 and cont-eq n = 40, 40,001 samples on 3 and 5
-shards for every family at n = 4, two more sharded runs, ``convergence``
-in every format, ``verify`` at three sizes, n = 8 in every format for
-three families, and one 100k-sample run.  It takes about a minute on a
-2-core x86 VM.
+``auto`` at disc-eq n = 36 and cont-eq n = 40, ``--method eigen`` for the
+two matrix families at n = 16, 40,001 samples on 3 and 5 shards for every
+family at n = 4, two more sharded runs, ``convergence`` in every format,
+``verify`` at three sizes, n = 8 in every format for three families, and
+one 100k-sample run.  It takes about a minute on a 2-core x86 VM.
 """
 
 import contextlib
@@ -53,6 +53,11 @@ def reports() -> dict:
         out[f"est-{kind}-n20-rh-shards2"] = _estimate(
             kind, 20, "--method", "rh", "--format", "json", "--samples", "40000",
             "--shards", "2",
+        )
+    # the eigenvalue route above the orders the method loop reaches
+    for kind in ("cont-sys", "disc-sys"):
+        out[f"est-{kind}-n16-eigen"] = _estimate(
+            kind, 16, "--method", "eigen", "--format", "json", "--samples", "40000"
         )
     # past the sign scan's reach: at disc-eq n = 36 the Jury scan leaves 187
     # of the 40000 rows indeterminate, and companion eigenvalues settle

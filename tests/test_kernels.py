@@ -327,6 +327,33 @@ def test_structured_stacks_match_scalar_and_eigenvalues(kind):
                 assert (codes == expected).all(), f"n={n}"
 
 
+@pytest.mark.parametrize("kind", ["cont-sys", "disc-sys"])
+def test_eigen_codes_on_triangular_integer_stacks(kind):
+    """On upper-triangular integer stacks, whose eigenvalues LAPACK returns
+    exactly (the diagonal), each eigenvalue kernel counts the diagonal and
+    flags exactly the rows on its region's boundary: eig_halfplane_codes
+    counts d < 0 and flags a row with a 0 on the diagonal; eig_disk_codes,
+    with radii in {0, 1, 2}, counts |d| < r and flags a row with some
+    |d| = r."""
+    rng = np.random.default_rng([FAMILY_KINDS.index(kind), 32])
+    seen = set()
+    for n in DEGREES[kind]:
+        mats = np.triu(rng.integers(-2, 3, size=(INTEGER_ROWS, n, n)).astype(float))
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        out = np.empty(len(mats), np.int64)
+        if kind == "cont-sys":
+            codes = kernels.eig_halfplane_codes(mats, TOL, out)
+            inside, edge = diag < 0.0, diag == 0.0
+        else:
+            radii = rng.integers(0, 3, size=len(mats)).astype(float)
+            codes = kernels.eig_disk_codes(mats, radii, TOL, out)
+            inside, edge = np.abs(diag) < radii[:, None], np.abs(diag) == radii[:, None]
+        expected = np.where(edge.any(axis=1), BOUNDARY_ROOT, np.count_nonzero(inside, axis=1))
+        np.testing.assert_array_equal(codes, expected, err_msg=f"n={n}")
+        seen.update(codes.tolist())
+    assert {BOUNDARY_ROOT, 0, 1} <= seen
+
+
 def test_zero_radius_pencils_need_a_regular_matrix():
     """b = 0 leaves the pencil 0 x - A.  With a singular A it is singular
     and has no count, although La Budde's recurrence leaves det A as a
@@ -833,6 +860,31 @@ def test_constructed_blocks_match_scalar():
             seen.update(codes.tolist())
     # x^2 - 4 times (x + 1)^(n-2) is repaired to n - 1 roots with Re < 0
     assert {ZERO_PIVOT, ZERO_LEADING, BOUNDARY_ROOT, 1, 7} <= seen
+
+
+# Matrices per order and row kind past DEGREES: the scalar char_poly costs
+# 0.7-2.1 ms a matrix at n = 16-24.
+HIGH_ORDER_ROWS = 30
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_char_poly_block_matches_reference_at_high_order(n):
+    """_char_poly_block equals the scalar char_poly bit for bit past
+    DEGREES, on normal and integer {-2..2} stacks: on the whole stack and
+    on one-matrix blocks, whose one-column sums numpy's reductions would
+    add pairwise."""
+    for integer in (False, True):
+        mats = _matrices("cont-sys", n, _draws("cont-sys", n, HIGH_ORDER_ROWS, integer))
+        expected = np.array([char_poly(m) for m in mats]).view(np.int64)
+        np.testing.assert_array_equal(
+            _lent(kernels._char_poly_block, mats).T.view(np.int64), expected,
+            err_msg=f"stack n={n}",
+        )
+        for m, polys in zip(mats, expected):
+            np.testing.assert_array_equal(
+                _lent(kernels._char_poly_block, m[None])[:, 0].view(np.int64), polys,
+                err_msg=f"one matrix n={n}",
+            )
 
 
 # Rows per order and row kind for the per-sample wrappers.
