@@ -8,6 +8,8 @@ the affine relations the true probabilities satisfy.  Exact values are
 provided where closed forms exist.
 """
 
+import types as _types
+
 from .constraints import (
     ConstraintSystem,
     InconsistentConstraints,
@@ -53,44 +55,9 @@ from .refine import RepairFailed, least_squares_refine, nonneg_repair
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstraintSystem",
-    "ConvergenceResult",
-    "DEFAULT_SEED",
-    "DEFAULT_TOL",
-    "EstimationAbort",
-    "EstimationConfig",
-    "FAMILY_KINDS",
-    "IndexHistogram",
-    "InconsistentConstraints",
-    "METHODS",
-    "ModelFamily",
-    "ProbabilityVector",
-    "RepairFailed",
-    "RootCount",
-    "batch_indices",
-    "build_constraints",
-    "char_poly",
-    "companion_matrix",
-    "convergence_study",
-    "eigen_region_count",
-    "even_parity_sum",
-    "exact_probabilities",
-    "frequencies",
-    "half_plane_sign_prob",
-    "index_from_params",
-    "jury_count",
-    "least_squares_refine",
-    "merge",
-    "mobius_star",
-    "nonneg_repair",
-    "relation_strings",
-    "resolve_method",
-    "routh_hurwitz_count",
-    "run_estimation",
-    "run_shard",
-    "run_shards",
-    "sample_index",
-    "shard_stream",
-    "__version__",
-]
+# every public name the imports above bind (submodules excepted), so a new
+# export needs only its import
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+) + ["__version__"]

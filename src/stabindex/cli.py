@@ -104,17 +104,18 @@ def _vector_json(vec) -> dict:
 
 def _render_estimate(args, cfg, hist, freq, refined, exact, relations) -> str:
     n = cfg.family.n
+    config = {
+        "family": cfg.family.kind,
+        "n": n,
+        "samples": cfg.samples,
+        "seed": cfg.seed,
+        "shards": cfg.shards,
+        "method": cfg.method,
+        "tol": cfg.tol,
+    }
     if args.format == "json":
         payload = {
-            "config": {
-                "family": cfg.family.kind,
-                "n": n,
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-                "shards": cfg.shards,
-                "method": cfg.method,
-                "tol": cfg.tol,
-            },
+            "config": config,
             "histogram": {
                 "family": hist.family.kind,
                 "n": hist.family.n,
@@ -141,17 +142,8 @@ def _render_estimate(args, cfg, hist, freq, refined, exact, relations) -> str:
             lines.append(f"{k},{obs},{err},{ref},{exs},{relations[k]}")
         return "\n".join(lines) + "\n"
 
-    head = [
-        f"family        : {cfg.family.kind}",
-        f"n             : {n}",
-        f"samples       : {cfg.samples}",
-        f"seed          : {cfg.seed}",
-        f"shards        : {cfg.shards}",
-        f"method        : {cfg.method}",
-        f"tol           : {cfg.tol:g}",
-        f"indeterminate : {hist.indeterminate}",
-        "",
-    ]
+    header = {**config, "tol": f"{cfg.tol:g}", "indeterminate": hist.indeterminate}
+    head = [f"{key:<14}: {value}" for key, value in header.items()] + [""]
     if refined is not None:
         head.append("  k  observed   refined    exact-or-relation")
         rows = [

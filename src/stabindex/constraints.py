@@ -224,9 +224,11 @@ def relation_strings(cs: ConstraintSystem) -> list:
 
 
 def exact_probabilities(family: ModelFamily) -> ProbabilityVector:
-    """All analytically known entries of the index distribution, NaN where
-    no closed form exists.  Entries fixed by the relations alone (zero free
-    dependence) are included."""
+    """The cataloged closed-form entries of the index distribution, NaN
+    elsewhere: every entry at n = 1 and, except for disc-sys, at n = 2;
+    every entry of cont-eq at n = 3; and p1 = p3 of disc-eq at n = 4.  The
+    catalog is not closed under the relations: at cont-sys and cont-eq
+    n = 4 they fix p1 = p3 = 1/4, and those entries are NaN here."""
     n = family.n
     entries = {}
     if family.kind in ("cont-sys", "cont-eq"):

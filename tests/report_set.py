@@ -1,6 +1,6 @@
 """Write the CLI's regression report set into a directory.
 
-Runs 164 ``stabindex`` invocations through ``cli.main`` in one process and
+Runs 168 ``stabindex`` invocations through ``cli.main`` in one process and
 writes each one's stdout, stderr and exit code to ``<name>.out``,
 ``<name>.err`` and ``<name>.code``.  Two trees are compared by writing the
 set against each tree's package and diffing the directories::
@@ -15,8 +15,10 @@ rh`` for the two matrix families at n = 11, 12 and on 2 shards at n = 20,
 ``auto`` at disc-eq n = 36 and cont-eq n = 40, ``--method eigen`` for the
 two matrix families at n = 16, 40,001 samples on 3 and 5 shards for every
 family at n = 4, two more sharded runs, ``convergence`` in every format,
-``verify`` at three sizes, n = 8 in every format for three families, and
-one 100k-sample run.  It takes about a minute on a 2-core x86 VM.
+``verify`` at three sizes, n = 8 in every format for three families,
+one 100k-sample run, two usage errors (exit 1), one estimation abort
+(exit 2), and a table at ``--tol 1.23456789e-7``.  It takes about a
+minute on a 2-core x86 VM.
 """
 
 import contextlib
@@ -96,6 +98,18 @@ def reports() -> dict:
             )
     out["est-cont-eq-n10-100k-seed3"] = _estimate(
         "cont-eq", 10, "--format", "json", "--samples", "100000", "--seed", "3"
+    )
+    # the failing exits: usage errors (1) and an estimation abort (2)
+    out["est-cont-eq-n0-usage"] = _estimate("cont-eq", 0)
+    out["conv-disc-eq-n3-k0-no-exact"] = (
+        "convergence", "--family", "disc-eq", "--n", "3", "--k", "0",
+    )
+    out["est-cont-eq-n4-tol0.5-abort"] = _estimate(
+        "cont-eq", 4, "--samples", "2000", "--tol", "0.5"
+    )
+    # the table header prints tol with :g (1.23457e-07)
+    out["est-cont-eq-n4-tol-g-table"] = _estimate(
+        "cont-eq", 4, "--samples", "20000", "--tol", "1.23456789e-7", "--format", "table"
     )
     return out
 

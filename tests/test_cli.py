@@ -31,6 +31,26 @@ class TestEstimate:
         assert "0.06250" in out and "0.43750" in out
         assert "indeterminate : 0" in out
 
+    def test_table_header(self, capsys):
+        # tol is printed with :g, not str: 1.23457e-07, not 1.23456789e-07
+        code, out, _ = run_cli(
+            capsys,
+            "estimate", "--family", "cont-eq", "--n", "4",
+            "--samples", "20000", "--tol", "1.23456789e-7",
+        )
+        assert code == 0
+        assert out.splitlines()[:9] == [
+            "family        : cont-eq",
+            "n             : 4",
+            "samples       : 20000",
+            "seed          : 20231",
+            "shards        : 1",
+            "method        : auto",
+            "tol           : 1.23457e-07",
+            "indeterminate : 0",
+            "",
+        ]
+
     def test_disc_sys_has_no_refined_column(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -247,9 +247,13 @@ class TestExactCatalog:
             for n in range(1, 11):
                 fam = ModelFamily(kind, n)
                 pv = exact_probabilities(fam)
+                cs = build_constraints(fam)
+                # an entry the relations fix outright (a zero design row)
+                # equals their offset bit for bit, in a partial catalog too
+                fixed = pv.known & ~cs.design.any(axis=1)
+                assert np.array_equal(pv.values[fixed], cs.offset[fixed])
                 if not pv.known.all():
                     continue
-                cs = build_constraints(fam)
                 q = pv.values[list(cs.free)]
                 assert np.abs(cs.design @ q + cs.offset - pv.values).max() < 1e-12
 

@@ -113,13 +113,25 @@ def _defined_names(path: Path) -> set:
 
 def test_public_names_come_from_their_owners():
     """__all__ lists exactly the public non-module names __init__ binds,
-    plus __version__, and each is imported from the module defining it."""
+    plus __version__; a star import binds exactly those and no module; the
+    only public modules it binds are its own; and each is imported from the
+    module defining it."""
     bound = {
         name for name, value in vars(stabindex).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
+    modules = {
+        name for name, value in vars(stabindex).items()
+        if not name.startswith("_") and isinstance(value, types.ModuleType)
+    }
+    assert modules <= set(ORDER)
     assert len(set(stabindex.__all__)) == len(stabindex.__all__)
     assert set(stabindex.__all__) == bound | {"__version__"}
+    starred = {}
+    exec("from stabindex import *", starred)
+    del starred["__builtins__"]
+    assert set(starred) == set(stabindex.__all__)
+    assert not any(isinstance(v, types.ModuleType) for v in starred.values())
     owners = {
         alias.name: node.module
         for node in ast.parse((SRC / "__init__.py").read_text()).body
